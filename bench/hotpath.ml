@@ -1,6 +1,7 @@
 (* Raw-speed gate for the hot-path pass: flat SoA geometry vs the
-   boxed array-of-arrays layout, and dominance-layer rival pruning vs
-   the full cached prefix set. Each kernel pair computes a checksum
+   boxed array-of-arrays layout, bounded top-k selection vs a full
+   tuple sort for prefix recomputes, and dominance-layer rival pruning
+   vs the full cached prefix set. Each kernel pair computes a checksum
    both ways — any divergence is a hard failure, not a report — and
    the gate fails the bench if the flat/pruned side is slower than its
    baseline beyond noise (10% + a small absolute floor, since smoke
@@ -119,7 +120,38 @@ let bench_slab inst =
     failwith "hotpath: boxed and flat slab-crossing counts diverged";
   (t_boxed, t_flat, flat)
 
-(* --- kernel 3 + 4: dominance-layer build, pruned vs full rivals ---- *)
+(* --- kernel 3: prefix recompute, tuple sort vs bounded selection --- *)
+
+(* Baseline: the full sort of boxed (score, id) tuples that the index's
+   prefix recompute ran before the bounded selection replaced it. *)
+let top_k_by_sort data ~weights ~k =
+  let scored =
+    Array.mapi (fun id p -> (Geom.Vec.dot weights p, id)) data
+  in
+  Array.sort compare scored;
+  List.init (Int.min k (Array.length data)) (fun i -> snd scored.(i))
+
+(* Every query's top-[depth] prefix, as [Query_index] computes it on a
+   build and after each object mutation that touches the prefix. *)
+let bench_prefix inst =
+  let data = inst.Iq.Instance.features in
+  let queries = inst.Iq.Instance.queries in
+  let depth =
+    Int.min (Iq.Instance.n_objects inst) (Iq.Instance.max_k inst + 1)
+  in
+  let prefixes top_k () =
+    List.init reps (fun _ ->
+        Array.map
+          (fun (q : Topk.Query.t) -> top_k data ~weights:q.Topk.Query.weights ~k:depth)
+          queries)
+  in
+  let sorted, t_sort = Harness.time (prefixes top_k_by_sort) in
+  let selected, t_select = Harness.time (prefixes Topk.Eval.top_k) in
+  if sorted <> selected then
+    failwith "hotpath: tuple-sort and bounded-selection prefixes diverged";
+  (t_sort, t_select, depth)
+
+(* --- kernel 4 + 5: dominance-layer build, pruned vs full rivals ---- *)
 
 let bench_pruning inst pool =
   let idx = Iq.Query_index.build ~pool inst in
@@ -204,7 +236,8 @@ let engine_identity inst =
 
 let run () =
   Harness.header
-    "Hot path: flat SoA layout & dominance-layer pruning (gated)";
+    "Hot path: flat SoA layout, prefix selection & dominance-layer \
+     pruning (gated)";
   let cfg = Harness.defaults in
   let d = cfg.Workload.Config.dimension in
   (* The dot/eval workload at the scaled Table-2 size; the O(n^2) slab
@@ -219,6 +252,7 @@ let run () =
     (fun () ->
       let t_dot_boxed, t_dot_flat = bench_dots inst in
       let t_slab_boxed, t_slab_flat, crossings = bench_slab slab_inst in
+      let t_sort, t_select, depth = bench_prefix inst in
       let t_dom, n_layers, t_full, t_kth, rivals_full, rivals_kth =
         bench_pruning inst pool
       in
@@ -235,17 +269,20 @@ let run () =
       in
       show "dots boxed->flat" t_dot_boxed t_dot_flat;
       show "slab boxed->flat" t_slab_boxed t_slab_flat;
+      show "prefix sort->select" t_sort t_select;
       show "ese full->pruned" t_full t_kth;
       Harness.note "dominance build %.4fs (%d layers); rivals %d -> %d"
         t_dom n_layers rivals_full rivals_kth;
       Harness.note
-        "identity: dot checksums, slab crossings (%d), eval counts and \
-         engine prune on/off outcomes all byte-identical"
-        crossings;
+        "identity: dot checksums, slab crossings (%d), top-%d prefixes, \
+         eval counts and engine prune on/off outcomes all byte-identical"
+        crossings depth;
       if not (within_noise ~fast:t_dot_flat ~base:t_dot_boxed) then
         failwith "hotpath: flat dot kernel slower than boxed beyond noise";
       if not (within_noise ~fast:t_slab_flat ~base:t_slab_boxed) then
         failwith "hotpath: flat slab kernel slower than boxed beyond noise";
+      if not (within_noise ~fast:t_select ~base:t_sort) then
+        failwith "hotpath: bounded selection slower than tuple sort beyond noise";
       if not (within_noise ~fast:t_kth ~base:(t_full +. t_dom)) then
         failwith
           "hotpath: pruned evaluation (incl. layer build) slower than \
@@ -271,6 +308,13 @@ let run () =
                    ("boxed_seconds", Harness.Float t_slab_boxed);
                    ("flat_seconds", Harness.Float t_slab_flat);
                    ("crossings", Harness.Int crossings);
+                 ] );
+             ( "prefix",
+               Harness.Obj
+                 [
+                   ("depth", Harness.Int depth);
+                   ("sort_seconds", Harness.Float t_sort);
+                   ("select_seconds", Harness.Float t_select);
                  ] );
              ( "pruning",
                Harness.Obj

@@ -12,14 +12,68 @@ let step_key step =
   String.concat ","
     (List.map (fun x -> Printf.sprintf "%.12g" x) (Array.to_list step))
 
+(* Steps are deduplicated on their ["%.12g"] rendering, but rendering
+   every step costs a [Printf] per coordinate per query. Two finite
+   floats with the same 12-significant-digit rendering each lie within
+   half a unit of its 12th digit, so they differ by about 1e-11 of
+   their magnitude at most: agreeing to 1e-10 relative is necessary,
+   and only such pairs get rendered. Non-finite values (NaN, inf) and
+   every pair that passes, [±0] included, go to the string compare,
+   so the relation is exactly key equality. *)
+let may_share_key x y =
+  (not (Float.is_finite x && Float.is_finite y))
+  || Float.abs (x -. y) <= 1e-10 *. Float.max (Float.abs x) (Float.abs y)
+
+let close_steps a b =
+  Array.length a = Array.length b
+  &&
+  let ok = ref true and j = ref 0 in
+  while !ok && !j < Array.length a do
+    ok := may_share_key a.(!j) b.(!j);
+    incr j
+  done;
+  !ok
+
+(* [dup.(i)]: some earlier step renders to the same key as step [i], so
+   the first of every key class is kept. Sorted by first coordinate,
+   the steps that may share a key with a step form a contiguous run
+   next to it (closeness to a finite value is an interval; NaNs and
+   each infinity sort together at the ends), so each step is compared
+   only with the run after it, and a key is rendered once, on demand. *)
+let duplicates steps =
+  let n = Array.length steps in
+  let lead i = if Array.length steps.(i) = 0 then 0. else steps.(i).(0) in
+  let by_lead = Array.init n Fun.id in
+  Array.stable_sort (fun a b -> Float.compare (lead a) (lead b)) by_lead;
+  let keys = Array.make n None in
+  let key i =
+    match keys.(i) with
+    | Some k -> k
+    | None ->
+        let k = step_key steps.(i) in
+        keys.(i) <- Some k;
+        k
+  in
+  let dup = Array.make n false in
+  for p = 0 to n - 1 do
+    let i = by_lead.(p) in
+    let r = ref (p + 1) in
+    while !r < n && may_share_key (lead i) (lead by_lead.(!r)) do
+      let j = by_lead.(!r) in
+      if close_steps steps.(i) steps.(j) && String.equal (key i) (key j) then
+        dup.(Int.max i j) <- true;
+      incr r
+    done
+  done;
+  dup
+
 let collect ?pool ?budget ?fault ~(evaluator : Evaluator.t) ~(cost : Cost.t)
     ~bounds ~current ~s_star ~cap ?max_step_cost () =
   let budget =
     match budget with Some b -> b | None -> Resilience.Budget.unlimited
   in
   let m = Instance.n_queries evaluator.Evaluator.instance in
-  let seen = Hashtbl.create 64 in
-  let steps = ref [] in
+  let found = ref [] in
   for q = 0 to m - 1 do
     if not (evaluator.Evaluator.member ~q s_star) then
       match evaluator.Evaluator.hit_constraint ~q ~current with
@@ -34,14 +88,14 @@ let collect ?pool ?budget ?fault ~(evaluator : Evaluator.t) ~(cost : Cost.t)
                 | None -> true
                 | Some ceiling -> c <= ceiling +. 1e-12
               in
-              if within_budget then begin
-                let key = step_key step in
-                if not (Hashtbl.mem seen key) then begin
-                  Hashtbl.add seen key ();
-                  steps := (step, c) :: !steps
-                end
-              end)
+              if within_budget then found := (step, c) :: !found)
   done;
+  (* Keep the lowest-q copy of each step; [steps] ends up in reverse q
+     order, which the stable cost sort below turns into its tie order. *)
+  let found = Array.of_list (List.rev !found) in
+  let dup = duplicates (Array.map fst found) in
+  let steps = ref [] in
+  Array.iteri (fun i sc -> if not dup.(i) then steps := sc :: !steps) found;
   let sorted =
     List.sort (fun (_, c1) (_, c2) -> Float.compare c1 c2) !steps
   in

@@ -39,6 +39,14 @@ val collect :
     [collect] and discard the list when it tripped. [fault] consults
     the [pool.task] injection site at every pool chunk boundary. *)
 
+val duplicates : Vec.t array -> bool array
+(** The dedup of {!collect}: [(duplicates steps).(i)] holds when some
+    [steps.(j)] with [j < i] renders to the same ["%.12g"] key,
+    coordinate by coordinate, so the first of each class is kept. Keys
+    are rendered only for steps that agree to 1e-10 relative on every
+    coordinate (or hold a NaN or infinity), a necessary condition for
+    equal renderings. *)
+
 val remaining_bounds :
   Lp.Projection.bounds -> Vec.t -> Lp.Projection.bounds
 (** Bounds left for an increment once [s_star] is already applied. *)

@@ -42,40 +42,25 @@ type state = {
 
 let better (s1, i1) (s2, i2) = s1 < s2 || (s1 = s2 && i1 < i2)
 
-(* Group queries by their kth rival into a CSR index. Counting sort
-   over object ids keeps rivals ascending and blocks in query order. *)
-let build_kth_csr kth ~n_objects =
-  let counts = Array.make n_objects 0 in
-  let m = Array.length kth in
-  for q = 0 to m - 1 do
-    if kth.(q) >= 0 then counts.(kth.(q)) <- counts.(kth.(q)) + 1
-  done;
-  let n_rivals = ref 0 in
-  for id = 0 to n_objects - 1 do
-    if counts.(id) > 0 then incr n_rivals
-  done;
-  let rivals = Array.make !n_rivals 0 in
-  let roff = Array.make (!n_rivals + 1) 0 in
-  let slot = Array.make n_objects (-1) in
-  let next = ref 0 in
-  for id = 0 to n_objects - 1 do
-    if counts.(id) > 0 then begin
-      rivals.(!next) <- id;
-      slot.(id) <- !next;
-      roff.(!next + 1) <- roff.(!next) + counts.(id);
-      incr next
-    end
-  done;
-  let rq = Array.make roff.(!n_rivals) 0 in
-  let cursor = Array.copy roff in
-  for q = 0 to m - 1 do
-    if kth.(q) >= 0 then begin
-      let s = slot.(kth.(q)) in
-      rq.(cursor.(s)) <- q;
-      cursor.(s) <- cursor.(s) + 1
-    end
-  done;
-  Kth { rivals; roff; rq }
+(* Group queries by their kth rival into a CSR index: a stable sort of
+   the query ids by rival keeps rivals ascending and each block in
+   query order. It works in O(m log m) on query-sized arrays only — no
+   [n_objects]-sized scratch per prepare (see DESIGN.md, "Hot-path
+   layout & pruning"). *)
+let build_kth_csr kth =
+  let rq =
+    Array.of_list
+      (List.filter (fun q -> kth.(q) >= 0) (List.init (Array.length kth) Fun.id))
+  in
+  Array.stable_sort (fun a b -> Int.compare kth.(a) kth.(b)) rq;
+  let n = Array.length rq in
+  let starts =
+    List.filter
+      (fun c -> c = 0 || kth.(rq.(c)) <> kth.(rq.(c - 1)))
+      (List.init n Fun.id)
+  in
+  let rivals = Array.of_list (List.map (fun c -> kth.(rq.(c))) starts) in
+  Kth { rivals; roff = Array.of_list (starts @ [ n ]); rq }
 
 (* The dominance-layer certificate (see DESIGN.md, "Hot-path layout &
    pruning"). Pruning to the kth-rival set is exact unconditionally;
@@ -137,7 +122,7 @@ let prepare ?layers index ~target =
   let mode =
     match layers with
     | Some layers when certificate_holds inst ~layers ~kth ->
-        build_kth_csr kth ~n_objects:(Instance.n_objects inst)
+        build_kth_csr kth
     | Some _ | None -> Full
   in
   {

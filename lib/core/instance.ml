@@ -26,6 +26,10 @@ let create ?utility ?(order = Topk.Utility.Asc) ~data ~queries () =
         invalid_arg "Instance.create: ragged object attributes")
     data;
   let features = Array.map utility.Topk.Utility.features data in
+  (* Identity feature maps (linear utilities) hand back each row
+     itself: then [features] is [raw], one array, and every update
+     below keeps it that way instead of copying both. *)
+  let features = if Array.for_all2 ( == ) features data then data else features in
   let queries =
     Array.of_list
       (List.map
@@ -61,11 +65,15 @@ let score t ~q id = Vec.dot t.queries.(q).Topk.Query.weights t.features.(id)
 let score_vec t ~q v = Vec.dot t.queries.(q).Topk.Query.weights v
 let improved t ~target ~s = Vec.add t.features.(target) s
 
+let shared t = t.features == t.raw
+
 let with_feature t ~target v =
   let features = Array.copy t.features in
   features.(target) <- v;
   let raw =
-    if t.utility.Topk.Utility.dim_in = t.utility.Topk.Utility.dim_out then begin
+    if shared t then features
+    else if t.utility.Topk.Utility.dim_in = t.utility.Topk.Utility.dim_out
+    then begin
       (* Linear utilities: feature space IS raw space. *)
       let raw = Array.copy t.raw in
       raw.(target) <- v;
@@ -105,23 +113,30 @@ let add_object t raw_attrs =
   if Vec.dim raw_attrs <> t.utility.Topk.Utility.dim_in then
     invalid_arg "Instance.add_object: attribute arity mismatch";
   let feat = t.utility.Topk.Utility.features raw_attrs in
-  {
-    t with
-    raw = Array.append t.raw [| raw_attrs |];
-    features = Array.append t.features [| feat |];
-    flat = Flat.append_row t.flat feat;
-  }
+  let raw = Array.append t.raw [| raw_attrs |] in
+  let features =
+    if shared t && feat == raw_attrs then raw
+    else Array.append t.features [| feat |]
+  in
+  { t with raw; features; flat = Flat.append_row t.flat feat }
 
 let update_object t id raw_attrs =
   let n = Array.length t.features in
   if id < 0 || id >= n then invalid_arg "Instance.update_object: bad id";
   if Vec.dim raw_attrs <> t.utility.Topk.Utility.dim_in then
     invalid_arg "Instance.update_object: attribute arity mismatch";
+  let feat = t.utility.Topk.Utility.features raw_attrs in
   let raw = Array.copy t.raw in
-  let features = Array.copy t.features in
   raw.(id) <- raw_attrs;
-  features.(id) <- t.utility.Topk.Utility.features raw_attrs;
-  { t with raw; features; flat = Flat.update_row t.flat id features.(id) }
+  let features =
+    if shared t && feat == raw_attrs then raw
+    else begin
+      let features = Array.copy t.features in
+      features.(id) <- feat;
+      features
+    end
+  in
+  { t with raw; features; flat = Flat.update_row t.flat id feat }
 
 let remove_object t id =
   let n = Array.length t.features in
@@ -130,9 +145,6 @@ let remove_object t id =
   let drop arr =
     Array.init (n - 1) (fun j -> if j < id then arr.(j) else arr.(j + 1))
   in
-  {
-    t with
-    raw = drop t.raw;
-    features = drop t.features;
-    flat = Flat.remove_row t.flat id;
-  }
+  let raw = drop t.raw in
+  let features = if shared t then raw else drop t.features in
+  { t with raw; features; flat = Flat.remove_row t.flat id }

@@ -15,7 +15,10 @@ open Geom
 
 type t = private {
   raw : Vec.t array;  (** original object attributes *)
-  features : Vec.t array;  (** [utility.features] image; the functions *)
+  features : Vec.t array;
+      (** [utility.features] image; the functions. When the feature map
+          returns every row itself (linear utilities) this is the very
+          array [raw] is, and updates keep the two shared. *)
   flat : Flat.t;
       (** SoA view of [features], kept in sync through every functional
           update (mutations patch the slab rather than rebuild) *)

@@ -77,15 +77,18 @@ let build_rtree inst =
   in
   Rtree.bulk_load ~dim entries
 
+(* Regroup after a prefix change. The query-point R-tree depends on the
+   query weights only, so object mutations keep the parent's tree (it
+   is never mutated after [bulk_load], so parent and successor share
+   it); the query mutations rebuild it themselves. *)
 let refresh t prefixes =
   let groups, gid_of = group_prefixes prefixes in
   t.groups <- groups;
   t.gid_of <- gid_of;
-  t.rivals <- rival_set groups;
-  t.rtree <- build_rtree t.inst
+  t.rivals <- rival_set groups
 
 let build ?(depth_slack = 0) ?(method_ = Scan) ?pool inst =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Resilience.now_ms () in
   let m = Instance.n_queries inst in
   let depth =
     Int.min (Instance.n_objects inst) (Instance.max_k inst + 1 + depth_slack)
@@ -128,7 +131,7 @@ let build ?(depth_slack = 0) ?(method_ = Scan) ?pool inst =
       hint_misses = 0;
     }
   in
-  t.build_seconds <- Unix.gettimeofday () -. t0;
+  t.build_seconds <- (Resilience.now_ms () -. t0) /. 1000.;
   Log.info (fun m ->
       m "index built: %d queries, %d groups, depth %d, %.3fs"
         (Instance.n_queries inst)
@@ -287,6 +290,7 @@ let add_query t (q : Topk.Query.t) =
   let prefixes = Array.append (current_prefixes t) [| prefix |] in
   t.inst <- inst';
   refresh t prefixes;
+  t.rtree <- build_rtree inst';
   qi
 
 let remove_query t qi =
@@ -297,7 +301,8 @@ let remove_query t qi =
     Array.init (m - 1) (fun j -> if j < qi then prefixes.(j) else prefixes.(j + 1))
   in
   t.inst <- Instance.remove_query t.inst qi;
-  refresh t prefixes'
+  refresh t prefixes';
+  t.rtree <- build_rtree t.inst
 
 let add_object t raw_attrs =
   let inst' = Instance.add_object t.inst raw_attrs in

@@ -62,6 +62,8 @@ val candidate_rivals : t -> int array
     any query's result (the Fact-2 elimination of Section 4.1). *)
 
 val build_seconds : t -> float
+(** Wall time of {!build}, read from the monotonic-guarded
+    {!Resilience.now_ms} clock, so never negative. *)
 
 val size_words : t -> int
 (** Approximate index footprint in machine words (R-tree nodes, group

@@ -4,23 +4,38 @@ type t = {
   edges : int; (* materialized parent-child edge count *)
 }
 
-let dominates p q =
-  let d = Geom.Vec.dim p in
-  let rec go j strict =
-    if j >= d then strict
-    else if p.(j) > q.(j) then false
-    else go (j + 1) (strict || p.(j) < q.(j))
-  in
-  go 0 false
+(* Allocation-free: no closure, no boxed float. *)
+let dominates (p : Geom.Vec.t) (q : Geom.Vec.t) =
+  let d = Array.length p in
+  let j = ref 0 and weak = ref true and strict = ref false in
+  while !weak && !j < d do
+    let a = p.(!j) and b = q.(!j) in
+    if a > b then weak := false else if a < b then strict := true;
+    incr j
+  done;
+  !weak && !strict
 
-(* Sort-filter-skyline peeling: process ids by ascending coordinate sum
-   (a dominator always has a strictly smaller sum, so it is seen first);
-   an id joins the current layer when nothing already in the layer
-   dominates it. *)
+(* One pass in ascending (coordinate sum, id) order: a dominator always
+   has a strictly smaller sum, so it is placed first. A point joins the
+   first layer none of whose members dominates it — exactly where
+   pass-by-pass sort-filter-skyline peeling puts it, since pass [j]
+   rejects a point iff a layer-[j] member placed before it dominates
+   it. Each layer's members are chained through [next] in placement
+   order ([head]/[tail] per layer, grown by doubling), so the pass
+   allocates no lists and no closures. *)
 let build ?(with_edges = false) data =
   let n = Array.length data in
+  let sums =
+    Array.map
+      (fun (p : Geom.Vec.t) ->
+        let acc = ref 0. in
+        for j = 0 to Array.length p - 1 do
+          acc := !acc +. p.(j)
+        done;
+        !acc)
+      data
+  in
   let order = Array.init n Fun.id in
-  let sums = Array.map (Array.fold_left ( +. ) 0.) data in
   Array.sort
     (fun a b ->
       match Float.compare sums.(a) sums.(b) with
@@ -28,26 +43,56 @@ let build ?(with_edges = false) data =
       | c -> c)
     order;
   let layer_of = Array.make n (-1) in
-  let layers = ref [] in
-  let remaining = ref (Array.to_list order) in
-  let layer_idx = ref 0 in
-  while !remaining <> [] do
-    let layer = ref [] in
-    let next = ref [] in
-    let consider id =
-      if List.exists (fun s -> dominates data.(s) data.(id)) !layer then
-        next := id :: !next
-      else begin
-        layer := id :: !layer;
-        layer_of.(id) <- !layer_idx
-      end
-    in
-    List.iter consider !remaining;
-    layers := Array.of_list (List.rev !layer) :: !layers;
-    remaining := List.rev !next;
-    incr layer_idx
-  done;
-  let layers = Array.of_list (List.rev !layers) in
+  let next = Array.make n (-1) in
+  let head = ref (Array.make 16 (-1)) and tail = ref (Array.make 16 (-1)) in
+  let size = ref (Array.make 16 0) in
+  let n_layers = ref 0 in
+  let grow a fill =
+    let a' = Array.make (2 * Array.length a) fill in
+    Array.blit a 0 a' 0 (Array.length a);
+    a'
+  in
+  Array.iter
+    (fun id ->
+      let p = data.(id) in
+      let l = ref 0 and placed = ref false in
+      while not !placed do
+        if !l = !n_layers then begin
+          if !l = Array.length !head then begin
+            head := grow !head (-1);
+            tail := grow !tail (-1);
+            size := grow !size 0
+          end;
+          !head.(!l) <- id;
+          incr n_layers;
+          placed := true
+        end
+        else begin
+          let s = ref !head.(!l) in
+          while !s >= 0 && not (dominates data.(!s) p) do
+            s := next.(!s)
+          done;
+          if !s < 0 then begin
+            next.(!tail.(!l)) <- id;
+            placed := true
+          end
+          else incr l
+        end
+      done;
+      !tail.(!l) <- id;
+      !size.(!l) <- !size.(!l) + 1;
+      layer_of.(id) <- !l)
+    order;
+  let layers =
+    Array.init !n_layers (fun l ->
+        let layer = Array.make !size.(l) 0 in
+        let s = ref !head.(l) in
+        for i = 0 to !size.(l) - 1 do
+          layer.(i) <- !s;
+          s := next.(!s)
+        done;
+        layer)
+  in
   let edges =
     if not with_edges then 0
     else begin
@@ -68,6 +113,8 @@ let build ?(with_edges = false) data =
 
 let layer_count t = Array.length t.layers
 let layers t = t.layers
+
+let layer_table t = t.layer_of
 
 let layer_of t id =
   if id < 0 || id >= Array.length t.layer_of then

@@ -24,6 +24,10 @@ val layers : t -> int array array
 val layer_of : t -> int -> int
 (** Layer index of an object id. *)
 
+val layer_table : t -> int array
+(** The whole [layer_of] table, indexed by object id. Shared, not a
+    copy: callers must not mutate it. *)
+
 val edge_count : t -> int
 (** Number of materialized dominance edges (0 unless [with_edges]). *)
 

@@ -3,52 +3,54 @@ let score data ~weights id = Geom.Vec.dot weights data.(id)
 (* (score, id) ascending: lower score first, then lower id. *)
 let better (s1, i1) (s2, i2) = s1 < s2 || (s1 = s2 && i1 < i2)
 
-(* Full sort: better than k-insertion once k is large. *)
-let top_k_scored_by_sort data ~weights ~k =
-  let n = Array.length data in
-  let scored = Array.init n (fun id -> (Geom.Vec.dot weights data.(id), id)) in
-  Array.sort compare scored;
-  Array.to_list (Array.sub scored 0 (Int.min k n))
-  |> List.map (fun (s, id) -> (id, s))
+(* Bounded selection of the [cap] best objects other than [excl], kept
+   sorted best first in unboxed score/id buffers; returns the buffers
+   and how many slots were filled. Scores accumulate exactly as
+   [Geom.Vec.dot weights data.(id)]. Ids arrive ascending, so under
+   [better] a newcomer beats a kept entry only on a strictly lower
+   score: it enters when it beats the worst kept score and shifts past
+   strictly worse entries only, landing after any tie. *)
+let select data ~weights ~cap ~excl =
+  let ss = Array.make cap infinity and ids = Array.make cap (-1) in
+  let d = Array.length weights in
+  let len = ref 0 in
+  let n = if cap = 0 then 0 else Array.length data in
+  for id = 0 to n - 1 do
+    if id <> excl then begin
+      let p = data.(id) in
+      if Array.length p <> d then invalid_arg "Geom.Vec: dimension mismatch";
+      let acc = ref 0. in
+      for j = 0 to d - 1 do
+        acc := !acc +. (weights.(j) *. p.(j))
+      done;
+      let s = !acc in
+      let full = !len >= cap in
+      if (not full) || s < ss.(cap - 1) then begin
+        let pos = ref (if full then cap - 1 else !len) in
+        while !pos > 0 && s < ss.(!pos - 1) do
+          ss.(!pos) <- ss.(!pos - 1);
+          ids.(!pos) <- ids.(!pos - 1);
+          decr pos
+        done;
+        ss.(!pos) <- s;
+        ids.(!pos) <- id;
+        if not full then incr len
+      end
+    end
+  done;
+  (ss, ids, !len)
 
-(* Bounded selection kept as a sorted array of the current k best; for
-   small k insertion beats sorting, for large k we fall back to a full
-   sort (same tie-break either way). *)
 let top_k_scored data ~weights ~k =
-  let n = Array.length data in
-  let cap = Int.min k n in
-  if cap = 0 then []
-  else if cap > 24 && n > 512 then top_k_scored_by_sort data ~weights ~k:cap
-  else begin
-    let best = Array.make cap (infinity, max_int) in
-    let len = ref 0 in
-    for id = 0 to n - 1 do
-      let s = Geom.Vec.dot weights data.(id) in
-      let entry = (s, id) in
-      if !len < cap then begin
-        (* insertion sort step *)
-        let pos = ref !len in
-        while !pos > 0 && better entry best.(!pos - 1) do
-          best.(!pos) <- best.(!pos - 1);
-          decr pos
-        done;
-        best.(!pos) <- entry;
-        incr len
-      end
-      else if better entry best.(cap - 1) then begin
-        let pos = ref (cap - 1) in
-        while !pos > 0 && better entry best.(!pos - 1) do
-          best.(!pos) <- best.(!pos - 1);
-          decr pos
-        done;
-        best.(!pos) <- entry
-      end
-    done;
-    Array.to_list (Array.sub best 0 !len)
-    |> List.map (fun (s, id) -> (id, s))
-  end
+  let cap = Int.max 0 (Int.min k (Array.length data)) in
+  let ss, ids, len = select data ~weights ~cap ~excl:(-1) in
+  List.init len (fun i -> (ids.(i), ss.(i)))
 
-let top_k data ~weights ~k = List.map fst (top_k_scored data ~weights ~k)
+(* Straight from the buffers, with no scored list in between: this is
+   the prefix recompute of every object mutation. *)
+let top_k data ~weights ~k =
+  let cap = Int.max 0 (Int.min k (Array.length data)) in
+  let _, ids, len = select data ~weights ~cap ~excl:(-1) in
+  List.init len (fun i -> ids.(i))
 
 let rank data ~weights id =
   let s_id = score data ~weights id in
@@ -63,37 +65,11 @@ let rank data ~weights id =
   !better_count + 1
 
 let kth_score_excluding data ~weights ~k ~excl =
-  let n = Array.length data in
-  if n - 1 < k then None
+  if Array.length data - 1 < k then None
   else begin
     (* kth best among all but [excl]. *)
-    let best = Array.make k (infinity, max_int) in
-    let len = ref 0 in
-    for id = 0 to n - 1 do
-      if id <> excl then begin
-        let s = Geom.Vec.dot weights data.(id) in
-        let entry = (s, id) in
-        if !len < k then begin
-          let pos = ref !len in
-          while !pos > 0 && better entry best.(!pos - 1) do
-            best.(!pos) <- best.(!pos - 1);
-            decr pos
-          done;
-          best.(!pos) <- entry;
-          incr len
-        end
-        else if better entry best.(k - 1) then begin
-          let pos = ref (k - 1) in
-          while !pos > 0 && better entry best.(!pos - 1) do
-            best.(!pos) <- best.(!pos - 1);
-            decr pos
-          done;
-          best.(!pos) <- entry
-        end
-      end
-    done;
-    let s, id = best.(k - 1) in
-    Some (id, s)
+    let ss, ids, _ = select data ~weights ~cap:k ~excl in
+    Some (ids.(k - 1), ss.(k - 1))
   end
 
 let hits data ~weights ~k id =

@@ -9,10 +9,13 @@ val score : Geom.Vec.t array -> weights:Geom.Vec.t -> int -> float
 (** Score of object [id]. *)
 
 val top_k : Geom.Vec.t array -> weights:Geom.Vec.t -> k:int -> int list
-(** The [k] best (lowest-scoring) object ids, best first; O(n log k). *)
+(** The [k] best (lowest-scoring) object ids, best first. One bounded
+    selection over unboxed score/id buffers for every [k]: O(n) scoring
+    plus an insertion per entrant, no sort of the whole dataset. *)
 
 val top_k_scored :
   Geom.Vec.t array -> weights:Geom.Vec.t -> k:int -> (int * float) list
+(** {!top_k} with each id's score. *)
 
 val rank : Geom.Vec.t array -> weights:Geom.Vec.t -> int -> int
 (** 1-based rank of an object under the tie-break order. *)

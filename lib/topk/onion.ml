@@ -48,7 +48,7 @@ let build data =
     {
       kind = Dominance_fallback;
       layers = Dominance.layers dom;
-      layer_of = Array.init (Array.length data) (Dominance.layer_of dom);
+      layer_of = Dominance.layer_table dom;
     }
   end
 

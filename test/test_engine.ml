@@ -304,6 +304,14 @@ let prop_interleaving_matches_rebuild =
       let cost = Cost.euclidean d in
       let target = 0 in
       let vec rng = Array.init dr (fun _ -> Workload.Rng.uniform rng) in
+      (* object mutations leave the query points alone, so their
+         successors must keep the parent's query R-tree itself *)
+      let rtree_shared = ref true in
+      let sharing f =
+        let parent = Query_index.rtree (Engine.index e) in
+        f ();
+        if Query_index.rtree (Engine.index e) != parent then rtree_shared := false
+      in
       List.iter
         (fun op ->
           match op with
@@ -315,13 +323,15 @@ let prop_interleaving_matches_rebuild =
                       (Topk.Query.make
                          ~k:(1 + Workload.Rng.int rng 4)
                          (Array.init d (fun _ -> Workload.Rng.uniform rng)))))
-          | Add_object s -> ignore (ok (Engine.add_object e (vec (Workload.Rng.make s))))
+          | Add_object s ->
+              sharing (fun () ->
+                  ignore (ok (Engine.add_object e (vec (Workload.Rng.make s)))))
           | Update_object s ->
               let rng = Workload.Rng.make s in
               let id =
                 Workload.Rng.int rng (Instance.n_objects (Engine.instance e))
               in
-              ok (Engine.update_object e id (vec rng))
+              sharing (fun () -> ok (Engine.update_object e id (vec rng)))
           | Search -> ignore (Engine.min_cost e ~cost ~target ~tau:3))
         ops;
       (* Oracle: a fresh engine over the final instance. *)
@@ -346,7 +356,52 @@ let prop_interleaving_matches_rebuild =
         | Error Engine.Error.Infeasible, Error Engine.Error.Infeasible -> true
         | _ -> false
       in
-      hits_agree && !members_agree && searches_agree)
+      (* the incrementally maintained index equals a fresh build *)
+      let idx = Engine.index e and idx' = Engine.index fresh in
+      let slabs_agree =
+        let rng = Workload.Rng.make (seed + 1) in
+        List.for_all
+          (fun _ ->
+            let normal () = Array.init d (fun _ -> Workload.Rng.uniform rng -. 0.5) in
+            let normal_before = normal () and normal_after = normal () in
+            let visited idx =
+              let acc = ref [] in
+              Query_index.slab_queries idx ~normal_before ~normal_after (fun q ->
+                  acc := q :: !acc);
+              List.sort Int.compare !acc
+            in
+            visited idx = visited idx')
+          (List.init 8 Fun.id)
+      in
+      let index_agrees =
+        Query_index.groups idx = Query_index.groups idx'
+        && Query_index.candidate_rivals idx = Query_index.candidate_rivals idx'
+        && slabs_agree
+      in
+      hits_agree && !members_agree && searches_agree && !rtree_shared
+      && index_agrees)
+
+(* Query mutations move query points and rebuild the R-tree; every
+   object mutation's successor shares its parent's. *)
+let test_rtree_sharing () =
+  let e = engine (make_instance ~n:40 ~m:20 ()) in
+  let rtree () = Query_index.rtree (Engine.index e) in
+  let check name shared f =
+    let parent = rtree () in
+    f ();
+    Alcotest.(check bool) name shared (rtree () == parent)
+  in
+  check "update_object shares" true (fun () ->
+      ok (Engine.update_object e 3 [| 0.2; 0.4; 0.6 |]));
+  check "add_object shares" true (fun () ->
+      ignore (ok (Engine.add_object e [| 0.1; 0.9; 0.5 |])));
+  check "remove_object shares" true (fun () -> ok (Engine.remove_object e 7));
+  check "add_query rebuilds" false (fun () ->
+      ignore (ok (Engine.add_query e (Topk.Query.make ~k:2 [| 0.3; 0.3; 0.4 |]))));
+  check "remove_query rebuilds" false (fun () -> ok (Engine.remove_query e 0));
+  Alcotest.(check int) "rebuilt tree covers the queries"
+    (Instance.n_queries (Engine.instance e))
+    (Rtree.size (rtree ()))
 
 (* --- snapshot footprint: removals must shrink, never ratchet up --- *)
 
@@ -418,4 +473,6 @@ let suite =
     Alcotest.test_case "multi-target = direct combinatorial" `Quick
       test_multi_uses_cached_states;
     QCheck_alcotest.to_alcotest prop_interleaving_matches_rebuild;
+    Alcotest.test_case "object mutations share the query R-tree" `Quick
+      test_rtree_sharing;
   ]

@@ -355,6 +355,94 @@ let test_combinatorial_max_hit_budget () =
     (spent <= 0.2 +. 0.05)
   (* per-step accounting can slightly exceed the L2 norm of the total *)
 
+(* --- candidate dedup: the gated relation vs plain key equality --- *)
+
+(* The key [Candidates.collect] deduplicated on before the gate. *)
+let ref_key step =
+  String.concat ","
+    (List.map (fun x -> Printf.sprintf "%.12g" x) (Array.to_list step))
+
+(* A value just either side of a 12-significant-digit rounding
+   boundary: [x]'s 12-digit rendering with a trailing 5 appended. *)
+let rounding_boundary x =
+  let r = Printf.sprintf "%.11e" x in
+  match String.index_opt r 'e' with
+  | Some i when Float.is_finite x ->
+      Float.of_string (String.sub r 0 i ^ "5" ^ String.sub r i (String.length r - i))
+  | Some _ | None -> x
+
+let gen_base =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, map2 (fun m e -> m *. (10. ** float_of_int e)) (float_range (-10.) 10.)
+              (int_range (-30) 30));
+        (1, oneofl [ 0.; -0.; infinity; neg_infinity; nan; Float.neg nan;
+                     5e-324; 1e-310; -2.2e-308; Float.max_float; 1.; 0.1 ]);
+        (1, map (fun m -> m *. 1e-315) (float_range (-100.) 100.));
+      ])
+
+(* A partner for [x] that shares its rendering, just misses it, or
+   straddles a rounding boundary. *)
+let gen_partner x =
+  QCheck.Gen.(
+    let b = rounding_boundary x in
+    oneofl
+      [ x; Float.succ x; Float.pred x; Float.succ (Float.succ x);
+        x *. (1. +. 1e-11); x *. (1. +. 5e-12); x *. (1. -. 2e-12);
+        x *. (1. +. 1e-9); b; Float.pred b; Float.succ b; -.x; 0.; -0. ])
+
+let gen_close_pair =
+  QCheck.Gen.(
+    let* d = int_range 1 3 in
+    let* xs = array_repeat d gen_base in
+    let* ys = flatten_a (Array.map gen_partner xs) in
+    (* sometimes compare two boundary-adjacent values with each other *)
+    let+ swap = bool in
+    if swap then (Array.map rounding_boundary xs, ys) else (xs, ys))
+
+let show_step v =
+  "[" ^ String.concat ";" (Array.to_list (Array.map (Printf.sprintf "%h") v)) ^ "]"
+
+let show_steps (a, b) = show_step a ^ " vs " ^ show_step b
+
+let prop_dedup_is_key_equality =
+  QCheck.Test.make ~count:2000
+    ~name:"candidate dedup equals %.12g key equality on adversarial floats"
+    (QCheck.make ~print:show_steps gen_close_pair)
+    (fun (a, b) ->
+      let same = String.equal (ref_key a) (ref_key b) in
+      (Candidates.duplicates [| a; b |]).(1) = same
+      && (Candidates.duplicates [| b; a |]).(1) = same)
+
+let prop_duplicates_keep_first =
+  QCheck.Test.make ~count:300
+    ~name:"Candidates.duplicates flags exactly the repeats of an earlier key"
+    (QCheck.make
+       ~print:(fun steps -> String.concat " " (Array.to_list (Array.map show_step steps)))
+       QCheck.Gen.(
+         (* draw repeatedly from a few close pairs of one dimension *)
+         let* (a, b) = gen_close_pair in
+         let* pairs = list_size (int_range 0 5) gen_close_pair in
+         let pool =
+           List.concat_map (fun (a, b) -> [ a; b ]) pairs
+           |> List.filter (fun v -> Array.length v = Array.length a)
+           |> Array.of_list |> Array.append [| a; b |]
+         in
+         array_size (int_range 0 40) (oneofa pool)))
+    (fun steps ->
+      let seen = Hashtbl.create 16 in
+      let expected =
+        Array.map
+          (fun s ->
+            let k = ref_key s in
+            let dup = Hashtbl.mem seen k in
+            Hashtbl.replace seen k ();
+            dup)
+          steps
+      in
+      Candidates.duplicates steps = expected)
+
 let suite =
   [
     Alcotest.test_case "min-cost reaches tau" `Quick test_min_cost_reaches_tau;
@@ -376,4 +464,6 @@ let suite =
     Alcotest.test_case "combinatorial min-cost" `Quick test_combinatorial_min_cost;
     Alcotest.test_case "combinatorial vs single" `Quick test_combinatorial_beats_single_target;
     Alcotest.test_case "combinatorial max-hit budget" `Quick test_combinatorial_max_hit_budget;
+    QCheck_alcotest.to_alcotest prop_dedup_is_key_equality;
+    QCheck_alcotest.to_alcotest prop_duplicates_keep_first;
   ]

@@ -214,6 +214,144 @@ let test_rta_prunes () =
     true
     (stats.Rta.pruned > 0)
 
+(* --- Oracles: bounded selection and one-pass peel vs references --- *)
+
+(* Reference top-k: the full tuple sort the bounded selection replaced.
+   Polymorphic [compare] on (score, id) is the (score asc, id asc)
+   order for non-NaN scores, [-0.0 = 0.0] included. *)
+let sorted_scores ?(excl = -1) data ~weights =
+  Array.to_list data
+  |> List.mapi (fun i p -> (Geom.Vec.dot weights p, i))
+  |> List.filter (fun (_, i) -> i <> excl)
+  |> List.sort compare
+
+let ref_top_k_scored data ~weights ~k =
+  sorted_scores data ~weights
+  |> List.filteri (fun i _ -> i < k)
+  |> List.map (fun (s, i) -> (i, s))
+
+let ref_kth_excluding data ~weights ~k ~excl =
+  match List.nth_opt (sorted_scores ~excl data ~weights) (k - 1) with
+  | Some (s, i) when Array.length data - 1 >= k -> Some (i, s)
+  | Some _ | None -> None
+
+(* Few distinct coordinate values force score ties and duplicate
+   points; [-0.0] and negative weights are in the palettes. *)
+let coord_palette = [| 0.; -0.; 0.1; 0.2; 0.3; 0.5; 0.7; 1.; -0.25 |]
+let weight_palette = [| 0.; -0.; 1.; 0.5; 0.1; 2.; -1.; -0.3 |]
+
+let gen_coord palette =
+  QCheck.Gen.(
+    frequency
+      [ (3, oneofa palette); (1, float_range (-1.) 1.) ])
+
+type topk_case = { data : Geom.Vec.t array; w : Geom.Vec.t; k : int; excl : int }
+
+let gen_topk_case =
+  QCheck.Gen.(
+    let* d = int_range 1 4 in
+    (* one case in six is large: k > 24 with n > 512, the old sort branch *)
+    let* large = map (fun i -> i = 0) (int_bound 5) in
+    let* n = if large then int_range 513 600 else int_range 0 40 in
+    let* k = if large then int_range 25 60 else int_range 0 (n + 3) in
+    let* data = array_repeat n (array_repeat d (gen_coord coord_palette)) in
+    let* w = array_repeat d (gen_coord weight_palette) in
+    let+ excl = int_range (-1) (Int.max 0 (n - 1)) in
+    { data; w; k; excl })
+
+let arb_topk_case =
+  QCheck.make
+    ~print:(fun c ->
+      Printf.sprintf "n=%d d=%d k=%d excl=%d" (Array.length c.data)
+        (Array.length c.w) c.k c.excl)
+    gen_topk_case
+
+let bits_scored l = List.map (fun (i, s) -> (i, Int64.bits_of_float s)) l
+
+let prop_top_k_matches_sort =
+  QCheck.Test.make ~count:200
+    ~name:"top_k and top_k_scored equal the reference tuple sort" arb_topk_case
+    (fun { data; w; k; _ } ->
+      let expected = ref_top_k_scored data ~weights:w ~k in
+      bits_scored (Eval.top_k_scored data ~weights:w ~k) = bits_scored expected
+      && Eval.top_k data ~weights:w ~k = List.map fst expected)
+
+let prop_kth_matches_sort =
+  QCheck.Test.make ~count:200
+    ~name:"kth_score_excluding equals the reference tuple sort" arb_topk_case
+    (fun { data; w; k; excl } ->
+      let k = Int.max 1 k in
+      let bits = Option.map (fun (i, s) -> (i, Int64.bits_of_float s)) in
+      bits (Eval.kth_score_excluding data ~weights:w ~k ~excl)
+      = bits (ref_kth_excluding data ~weights:w ~k ~excl))
+
+(* Reference peel: pass-by-pass sort-filter-skyline over id lists, the
+   construction the one-pass build replaced. *)
+let ref_peel data =
+  let n = Array.length data in
+  let sums = Array.map (Array.fold_left ( +. ) 0.) data in
+  let order =
+    List.sort
+      (fun a b ->
+        match Float.compare sums.(a) sums.(b) with
+        | 0 -> Int.compare a b
+        | c -> c)
+      (List.init n Fun.id)
+  in
+  let layer_of = Array.make n (-1) in
+  let rec peel l remaining acc =
+    if remaining = [] then List.rev acc
+    else begin
+      let layer, rest =
+        List.fold_left
+          (fun (layer, rest) id ->
+            if List.exists (fun s -> Dominance.dominates data.(s) data.(id)) layer
+            then (layer, id :: rest)
+            else begin
+              layer_of.(id) <- l;
+              (id :: layer, rest)
+            end)
+          ([], []) remaining
+      in
+      peel (l + 1) (List.rev rest) (Array.of_list (List.rev layer) :: acc)
+    end
+  in
+  let layers = Array.of_list (peel 0 order []) in
+  (layers, layer_of)
+
+let gen_points =
+  QCheck.Gen.(
+    let* d = int_range 1 4 in
+    let* n = frequency [ (4, int_range 0 60); (1, int_range 150 300) ] in
+    (* tenths: permuted coordinates give sums that tie, or just miss
+       tying, in floating point (0.1 + 0.2 <> 0.3) *)
+    let tenth = map (fun i -> float_of_int i /. 10.) (int_bound 7) in
+    array_repeat n
+      (array_repeat d (frequency [ (3, tenth); (1, float_range 0. 1.) ])))
+
+let prop_dominance_matches_peel =
+  QCheck.Test.make ~count:150
+    ~name:"Dominance.build layers equal a pass-by-pass peel"
+    (QCheck.make
+       ~print:(fun pts ->
+         Printf.sprintf "n=%d d=%d" (Array.length pts)
+           (if Array.length pts = 0 then 0 else Array.length pts.(0)))
+       gen_points)
+    (fun data ->
+      let n = Array.length data in
+      let layers, layer_of = ref_peel data in
+      let t = Dominance.build data in
+      (* outside 2-D the onion is the dominance peel *)
+      let onion_agrees =
+        (n > 0 && Array.length data.(0) = 2)
+        ||
+        let o = Onion.build data in
+        Onion.layers o = layers && Array.init n (Onion.layer_of o) = layer_of
+      in
+      Dominance.layers t = layers
+      && Array.init n (Dominance.layer_of t) = layer_of
+      && onion_agrees)
+
 let suite =
   [
     Alcotest.test_case "linear utility" `Quick test_linear_utility;
@@ -235,4 +373,7 @@ let suite =
     Alcotest.test_case "TA weight guard" `Quick test_ta_rejects_negative_weights;
     Alcotest.test_case "RTA correct" `Quick test_rta_matches_brute;
     Alcotest.test_case "RTA prunes" `Quick test_rta_prunes;
+    QCheck_alcotest.to_alcotest prop_top_k_matches_sort;
+    QCheck_alcotest.to_alcotest prop_kth_matches_sort;
+    QCheck_alcotest.to_alcotest prop_dominance_matches_peel;
   ]

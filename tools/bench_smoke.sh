@@ -5,7 +5,8 @@
 #    sharded index build, the parallel candidate fan-out, and the
 #    cross-domain determinism check (the bench exits non-zero if
 #    outcomes diverge across domain counts).
-# 2. Hot-path bench: flat SoA kernels vs the boxed baselines and
+# 2. Hot-path bench: flat SoA kernels vs the boxed baselines, the
+#    bounded top-k prefix selection vs a full tuple sort, and
 #    dominance-layer pruning vs the full rival set — exits non-zero if
 #    any checksum diverges or a fast path is slower than its baseline
 #    beyond noise; records ratios in BENCH_hotpath.json.
