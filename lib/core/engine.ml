@@ -20,7 +20,6 @@ module Error = struct
     | Depth_exceeded of { k : int; depth : int }
     | Budget_exhausted of float
     | Infeasible
-    | Stale_state of { held : int; current : int }
     | Unknown_backend of string
     | Empty_targets
     | Deadline_exceeded of { elapsed_ms : float; partial : partial option }
@@ -50,9 +49,6 @@ module Error = struct
           depth
     | Budget_exhausted beta -> Printf.sprintf "budget %g is negative" beta
     | Infeasible -> "goal unreachable: no feasible strategy"
-    | Stale_state { held; current } ->
-        Printf.sprintf "stale state: prepared at generation %d, engine at %d"
-          held current
     | Unknown_backend name ->
         Printf.sprintf "unknown backend %S (expected ese, scan or rta)" name
     | Empty_targets -> "no targets given"
@@ -597,37 +593,6 @@ let dirty_queries ?snap t ~target ~s =
   | Some state -> Ok (Ese.dirty_queries state ~s)
   | None -> Ok (List.init (Instance.n_queries (Snapshot.instance snap)) Fun.id)
 
-(* {2 Prepared handles} *)
-
-type prepared = { p_target : int; p_gen : int; p_entry : Snapshot.entry }
-
-let prepare t ~target =
-  guard @@ fun () ->
-  let snap = snapshot t in
-  let* () = check_target_in snap target in
-  let e = entry ~snap t ~target in
-  Ok { p_target = target; p_gen = Snapshot.generation snap; p_entry = e }
-
-let prepared_target p = p.p_target
-
-let prepared_generation p = p.p_gen
-
-let evaluate t p ~s =
-  guard @@ fun () ->
-  let* () =
-    check_dim ~expected:(Instance.dim (instance t)) ~got:(Vec.dim s)
-  in
-  let current = generation t in
-  if p.p_gen <> current then
-    Error (Error.Stale_state { held = p.p_gen; current })
-  else Ok (p.p_entry.Snapshot.e_eval.Evaluator.hit_count s)
-
-(* Re-preparing a stale handle is the one read of its payload that must
-   not be gated on the stamp: the target survives the generation change
-   by design, and [prepare] re-stamps it against the live counter. *)
-(* iqlint: allow generation-protocol *)
-let refresh t p = prepare t ~target:p.p_target
-
 (* {2 Improvement queries} *)
 
 (* Budget precedence: an explicit budget wins, then an explicit
@@ -826,7 +791,8 @@ let checkpoint_locked t j snap =
    slide the retention ring, and publish. [Atomic.set] gives release
    semantics: a reader that acquires the new snapshot sees every write
    that built it. After publishing, a due automatic checkpoint
-   ([j_every]) runs while the lock is still held. *)
+   ([j_every]) runs while the lock is still held; its failure is
+   logged, never returned. *)
 let mutate t ~m validate f =
   with_mutex t.wlock (fun () ->
       let snap = Atomic.get t.current in
@@ -856,8 +822,16 @@ let mutate t ~m validate f =
       | Some j -> (
           match j.j_every with
           | Some every
-            when 1 + Atomic.fetch_and_add t.muts_since_ckpt 1 >= every ->
-              checkpoint_locked t j snap'
+            when 1 + Atomic.fetch_and_add t.muts_since_ckpt 1 >= every -> (
+              (* The mutation is already logged and published, so a
+                 failed checkpoint must not report it as failed: a
+                 caller retrying it would apply it twice. The counters
+                 stay put and the next mutation tries again. *)
+              try checkpoint_locked t j snap'
+              with e ->
+                Log.warn (fun m ->
+                    m "auto-checkpoint at generation %d failed: %s"
+                      (Snapshot.generation snap') (Printexc.to_string e)))
           | Some _ | None -> ()));
       Ok r)
 

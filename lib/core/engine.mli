@@ -16,9 +16,9 @@
     it holds it. Reads default to the current snapshot; passing
     [?snap] pins one explicitly. Evaluators are cached per snapshot
     and re-prepared transparently when a search first touches a target
-    on a new generation. Only explicit {!prepared} handles can observe
-    staleness: evaluating one whose generation is behind yields
-    [Error (Stale_state _)] rather than a silently wrong count.
+    on a new generation. Every read answers from exactly one snapshot,
+    so there is no stale state to report: a serving session moves to a
+    newer generation only through its opt-in refresh.
 
     {b Serving sessions.} The [Serve.Session] layer (library [serve])
     drives multi-client serving: {!acquire_session} admits a caller
@@ -82,8 +82,6 @@ module Error : sig
             keeps — rebuild with [depth_slack] *)
     | Budget_exhausted of float  (** negative Max-Hit budget *)
     | Infeasible  (** Min-Cost: [tau] hits unreachable *)
-    | Stale_state of { held : int; current : int }
-        (** a {!prepared} handle outlived a mutation *)
     | Unknown_backend of string  (** unrecognized [IQ_BACKEND] name *)
     | Empty_targets  (** a combinatorial call with no targets *)
     | Deadline_exceeded of { elapsed_ms : float; partial : partial option }
@@ -202,9 +200,7 @@ val of_index :
   Query_index.t ->
   (t, Error.t) result
 (** Adopt an already-built index (e.g. one loaded with
-    {!Query_index.load}). The engine becomes its owner: mutating the
-    index behind the engine's back voids the snapshot guarantee —
-    mutate only through the engine, whose updates are copy-on-write. *)
+    {!Query_index.load}) as the root generation. *)
 
 val create_exn :
   ?backend:backend ->
@@ -231,9 +227,8 @@ val instance : t -> Instance.t
 (** The current snapshot's instance (follows mutations). *)
 
 val index : t -> Query_index.t
-(** The current snapshot's index, read-only access for diagnostics
-    ([size_words], [build_seconds], …). Mutate only through the
-    engine. *)
+(** The current snapshot's index, for diagnostics ([size_words],
+    [build_seconds], …). *)
 
 val pool : t -> Parallel.pool
 
@@ -326,33 +321,6 @@ val dirty_queries :
 (** The queries whose membership the move [s] can affect — ESE's
     affected subdomains. Backends without ESE state conservatively
     report every query. *)
-
-(** {3 Prepared handles}
-
-    A {!prepared} pins a target's evaluator to the generation it was
-    made at. Unlike the implicit cache — which silently re-prepares —
-    a handle is a promise of {e that} snapshot: evaluating it after a
-    mutation reports [Stale_state] instead of answering from data the
-    caller no longer holds. (Serving sessions, which pin a whole
-    snapshot instead, never go stale mid-search — their refresh is
-    opt-in; see [Serve.Session].) *)
-
-type prepared
-
-val prepare : t -> target:int -> (prepared, Error.t) result
-
-val prepared_target : prepared -> int
-
-val prepared_generation : prepared -> int
-
-val evaluate : t -> prepared -> s:Strategy.t -> (int, Error.t) result
-(** [H(p_target + s)] under the handle's snapshot.
-    [Error (Stale_state _)] when the engine has moved on;
-    [Dim_mismatch] when [s] has the wrong arity. *)
-
-val refresh : t -> prepared -> (prepared, Error.t) result
-(** A current-generation handle for the same target (the stale-handle
-    recovery path). *)
 
 (** {2 Improvement queries}
 
@@ -480,7 +448,11 @@ type journal = {
           acknowledged mutation is always durable. *)
   j_checkpoint : Snapshot.t -> int;
       (** persist a full snapshot and truncate the log; returns the
-          checkpoint's size in bytes. Called under the write lock. *)
+          checkpoint's size in bytes. Called under the write lock. When
+          an automatic ([j_every]) checkpoint raises, the mutation that
+          triggered it still returns [Ok] (it is already logged and
+          published); the failure is logged and the next mutation
+          retries. *)
   j_every : int option;
       (** automatic checkpoint cadence in mutations, [None] for
           manual-only (the [IQ_CHECKPOINT_EVERY] knob, resolved by

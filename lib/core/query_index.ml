@@ -3,15 +3,15 @@ open Geom
 type group = { gid : int; prefix : int array; members : int array }
 
 type t = {
-  mutable inst : Instance.t;
+  inst : Instance.t;
   depth : int;
-  mutable groups : group array;
-  mutable gid_of : int array; (* query idx -> gid *)
-  mutable rtree : int Rtree.t;
-  mutable rivals : int array;
-  mutable build_seconds : float;
-  mutable hint_hits : int;
-  mutable hint_misses : int;
+  groups : group array;
+  gid_of : int array; (* query idx -> gid *)
+  rtree : int Rtree.t;
+  rivals : int array;
+  build_seconds : float;
+  hint_hits : int;
+  hint_misses : int;
 }
 
 type build_method = Scan | Threshold_algorithm
@@ -77,16 +77,6 @@ let build_rtree inst =
   in
   Rtree.bulk_load ~dim entries
 
-(* Regroup after a prefix change. The query-point R-tree depends on the
-   query weights only, so object mutations keep the parent's tree (it
-   is never mutated after [bulk_load], so parent and successor share
-   it); the query mutations rebuild it themselves. *)
-let refresh t prefixes =
-  let groups, gid_of = group_prefixes prefixes in
-  t.groups <- groups;
-  t.gid_of <- gid_of;
-  t.rivals <- rival_set groups
-
 let build ?(depth_slack = 0) ?(method_ = Scan) ?pool inst =
   let t0 = Resilience.now_ms () in
   let m = Instance.n_queries inst in
@@ -118,20 +108,21 @@ let build ?(depth_slack = 0) ?(method_ = Scan) ?pool inst =
         out
   in
   let groups, gid_of = group_prefixes prefixes in
+  let rtree = build_rtree inst in
+  let rivals = rival_set groups in
   let t =
     {
       inst;
       depth;
       groups;
       gid_of;
-      rtree = build_rtree inst;
-      rivals = rival_set groups;
-      build_seconds = 0.;
+      rtree;
+      rivals;
+      build_seconds = (Resilience.now_ms () -. t0) /. 1000.;
       hint_hits = 0;
       hint_misses = 0;
     }
   in
-  t.build_seconds <- (Resilience.now_ms () -. t0) /. 1000.;
   Log.info (fun m ->
       m "index built: %d queries, %d groups, depth %d, %.3fs"
         (Instance.n_queries inst)
@@ -262,11 +253,23 @@ let verify_prefix inst ~w prefix =
 let current_prefixes t =
   Array.init (Array.length t.gid_of) (fun qi -> (group_of t qi).prefix)
 
-let add_query t (q : Topk.Query.t) =
+(* Every update is copy-on-write: it computes a fresh [inst'] (Instance's
+   update paths are functional) and a fresh prefix table, and returns a
+   successor record built from them. No array of the parent is ever
+   written, so a reader holding the parent never observes a half-applied
+   update; unchanged prefix arrays and the old instance's slabs are
+   shared structurally. The query-point R-tree depends on the query
+   weights only, so object updates pass the parent's tree (never
+   mutated after [bulk_load]) and query updates pass a rebuilt one. *)
+let successor t ~inst ~rtree prefixes =
+  let groups, gid_of = group_prefixes prefixes in
+  { t with inst; groups; gid_of; rivals = rival_set groups; rtree }
+
+let with_query_added t (q : Topk.Query.t) =
   if q.Topk.Query.k + 1 > t.depth then
     invalid_arg
-      "Query_index.add_query: k exceeds the index depth (rebuild with \
-       depth_slack)";
+      "Query_index.with_query_added: k exceeds the index depth (rebuild \
+       with depth_slack)";
   let inst' = Instance.add_query t.inst q in
   let m = Instance.n_queries inst' in
   let qi = m - 1 in
@@ -277,34 +280,33 @@ let add_query t (q : Topk.Query.t) =
     | [ (_, _, neighbour) ] -> Some (group_of t neighbour).prefix
     | _ -> None
   in
-  let prefix =
+  let hit, prefix =
     match hint with
-    | Some candidate when verify_prefix inst' ~w candidate ->
-        t.hint_hits <- t.hint_hits + 1;
-        candidate
+    | Some candidate when verify_prefix inst' ~w candidate -> (true, candidate)
     | Some _ | None ->
-        t.hint_misses <- t.hint_misses + 1;
-        Array.of_list
-          (Topk.Eval.top_k inst'.Instance.features ~weights:w ~k:t.depth)
+        ( false,
+          Array.of_list
+            (Topk.Eval.top_k inst'.Instance.features ~weights:w ~k:t.depth) )
   in
-  let prefixes = Array.append (current_prefixes t) [| prefix |] in
-  t.inst <- inst';
-  refresh t prefixes;
-  t.rtree <- build_rtree inst';
-  qi
+  let t' =
+    successor t ~inst:inst' ~rtree:(build_rtree inst')
+      (Array.append (current_prefixes t) [| prefix |])
+  in
+  if hit then ({ t' with hint_hits = t.hint_hits + 1 }, qi)
+  else ({ t' with hint_misses = t.hint_misses + 1 }, qi)
 
-let remove_query t qi =
+let with_query_removed t qi =
   let prefixes = current_prefixes t in
   let m = Array.length prefixes in
-  if qi < 0 || qi >= m then invalid_arg "Query_index.remove_query: bad index";
+  if qi < 0 || qi >= m then
+    invalid_arg "Query_index.with_query_removed: bad index";
   let prefixes' =
     Array.init (m - 1) (fun j -> if j < qi then prefixes.(j) else prefixes.(j + 1))
   in
-  t.inst <- Instance.remove_query t.inst qi;
-  refresh t prefixes';
-  t.rtree <- build_rtree t.inst
+  let inst' = Instance.remove_query t.inst qi in
+  successor t ~inst:inst' ~rtree:(build_rtree inst') prefixes'
 
-let add_object t raw_attrs =
+let with_object_added t raw_attrs =
   let inst' = Instance.add_object t.inst raw_attrs in
   let id = Instance.n_objects inst' - 1 in
   let feat = inst'.Instance.features.(id) in
@@ -340,9 +342,65 @@ let add_object t raw_attrs =
         end)
       prefixes
   in
-  t.inst <- inst';
-  refresh t updated;
-  id
+  (successor t ~inst:inst' ~rtree:t.rtree updated, id)
+
+let prefix_filter t =
+  let filter = Bloom.create ~expected:(Int.max 1 (Array.length t.rivals)) () in
+  Array.iter (fun id -> Bloom.add filter id) t.rivals;
+  filter
+
+let with_object_updated t id raw_attrs =
+  let filter = prefix_filter t in
+  let inst' = Instance.update_object t.inst id raw_attrs in
+  let feat = inst'.Instance.features.(id) in
+  let might_contain = Bloom.mem filter id in
+  let prefixes = current_prefixes t in
+  let updated =
+    Array.mapi
+      (fun qi prefix ->
+        let w = inst'.Instance.queries.(qi).Topk.Query.weights in
+        let depth = Array.length prefix in
+        let contains =
+          might_contain && Array.exists (fun p -> p = id) prefix
+        in
+        let cuts =
+          (not contains) && depth > 0
+          &&
+          let s_new = Vec.dot w feat in
+          let last = prefix.(depth - 1) in
+          let s_last = Vec.dot w inst'.Instance.features.(last) in
+          better (s_new, id) (s_last, last)
+        in
+        if contains || cuts || depth < t.depth then
+          (* The moved object bounds (or now cuts into) this query's
+             subdomain: recompute its prefix against the new features. *)
+          Array.of_list
+            (Topk.Eval.top_k inst'.Instance.features ~weights:w ~k:t.depth)
+        else prefix)
+      prefixes
+  in
+  successor t ~inst:inst' ~rtree:t.rtree updated
+
+let with_object_removed t id =
+  let filter = prefix_filter t in
+  let inst' = Instance.remove_object t.inst id in
+  let prefixes = current_prefixes t in
+  let might_contain = Bloom.mem filter id in
+  let remap pid = if pid > id then pid - 1 else pid in
+  let updated =
+    Array.mapi
+      (fun qi prefix ->
+        let contains = might_contain && Array.exists (fun p -> p = id) prefix in
+        if contains then begin
+          (* This query's subdomain loses a boundary object: recompute. *)
+          let w = inst'.Instance.queries.(qi).Topk.Query.weights in
+          Array.of_list
+            (Topk.Eval.top_k inst'.Instance.features ~weights:w ~k:t.depth)
+        end
+        else Array.map remap prefix)
+      prefixes
+  in
+  successor t ~inst:inst' ~rtree:t.rtree updated
 
 (* --- persistence ------------------------------------------------------ *)
 
@@ -412,113 +470,14 @@ let load path =
   ignore snap.s_raw;
   let inst = Instance.create ~data:snap.s_features ~queries () in
   let groups, gid_of = group_prefixes snap.s_prefixes in
-  let t =
-    {
-      inst;
-      depth = snap.s_depth;
-      groups;
-      gid_of;
-      rtree = build_rtree inst;
-      rivals = rival_set groups;
-      build_seconds = 0.;
-      hint_hits = 0;
-      hint_misses = 0;
-    }
-  in
-  t
-
-let prefix_filter t =
-  let filter = Bloom.create ~expected:(Int.max 1 (Array.length t.rivals)) () in
-  Array.iter (fun id -> Bloom.add filter id) t.rivals;
-  filter
-
-let update_object t id raw_attrs =
-  let filter = prefix_filter t in
-  let inst' = Instance.update_object t.inst id raw_attrs in
-  let feat = inst'.Instance.features.(id) in
-  let might_contain = Bloom.mem filter id in
-  let prefixes = current_prefixes t in
-  let updated =
-    Array.mapi
-      (fun qi prefix ->
-        let w = inst'.Instance.queries.(qi).Topk.Query.weights in
-        let depth = Array.length prefix in
-        let contains =
-          might_contain && Array.exists (fun p -> p = id) prefix
-        in
-        let cuts =
-          (not contains) && depth > 0
-          &&
-          let s_new = Vec.dot w feat in
-          let last = prefix.(depth - 1) in
-          let s_last = Vec.dot w inst'.Instance.features.(last) in
-          better (s_new, id) (s_last, last)
-        in
-        if contains || cuts || depth < t.depth then
-          (* The moved object bounds (or now cuts into) this query's
-             subdomain: recompute its prefix against the new features. *)
-          Array.of_list
-            (Topk.Eval.top_k inst'.Instance.features ~weights:w ~k:t.depth)
-        else prefix)
-      prefixes
-  in
-  t.inst <- inst';
-  refresh t updated
-
-let remove_object t id =
-  let filter = prefix_filter t in
-  let inst' = Instance.remove_object t.inst id in
-  let prefixes = current_prefixes t in
-  let might_contain = Bloom.mem filter id in
-  let remap pid = if pid > id then pid - 1 else pid in
-  let updated =
-    Array.mapi
-      (fun qi prefix ->
-        let contains = might_contain && Array.exists (fun p -> p = id) prefix in
-        if contains then begin
-          (* This query's subdomain loses a boundary object: recompute. *)
-          let w = inst'.Instance.queries.(qi).Topk.Query.weights in
-          Array.of_list
-            (Topk.Eval.top_k inst'.Instance.features ~weights:w ~k:t.depth)
-        end
-        else Array.map remap prefix)
-      prefixes
-  in
-  t.inst <- inst';
-  refresh t updated
-
-(* --- copy-on-write variants ----------------------------------------- *)
-
-(* The in-place mutators above never patch a shared array: each one
-   computes a fresh [inst'] (Instance's update paths are functional)
-   and a fresh prefix table, then wholesale-assigns the derived fields
-   via [refresh]. Running them against a shallow copy of the record
-   therefore leaves the original index fully intact — unchanged prefix
-   arrays and the old instance's slabs are shared structurally, and a
-   reader holding the original never observes a half-applied update. *)
-let shallow_copy t = { t with inst = t.inst }
-
-let with_query_added t q =
-  let t' = shallow_copy t in
-  let qi = add_query t' q in
-  (t', qi)
-
-let with_query_removed t qi =
-  let t' = shallow_copy t in
-  remove_query t' qi;
-  t'
-
-let with_object_added t raw_attrs =
-  let t' = shallow_copy t in
-  let id = add_object t' raw_attrs in
-  (t', id)
-
-let with_object_updated t id raw_attrs =
-  let t' = shallow_copy t in
-  update_object t' id raw_attrs;
-  t'
-
-let with_object_removed t id =
-  let t' = shallow_copy t in
-  remove_object t' id;
-  t'
+  {
+    inst;
+    depth = snap.s_depth;
+    groups;
+    gid_of;
+    rtree = build_rtree inst;
+    rivals = rival_set groups;
+    build_seconds = 0.;
+    hint_hits = 0;
+    hint_misses = 0;
+  }

@@ -87,28 +87,39 @@ val slab_queries :
 
 (** {2 Data updating — Section 4.3}
 
-    All update operations maintain the index in place. Evaluator/ESE
-    states prepared before an update are stale afterwards; prepare
-    fresh ones. *)
+    Every update is copy-on-write: the input index is left fully intact
+    and a successor index is returned, so a reader holding the original
+    can keep searching against a consistent snapshot while a writer
+    builds the next generation. Unchanged prefix arrays and the
+    instance's untouched column slabs are shared structurally between
+    the two. Evaluator/ESE states prepared on the input describe the
+    input only; prepare fresh ones against the successor. *)
 
-val add_query : t -> Topk.Query.t -> int
-(** Insert a top-k query, returning its index. The nearest existing
-    query's subdomain is tried first (the paper's kNN shortcut) and
-    verified against its boundaries; only on mismatch is the prefix
-    recomputed from scratch.
+val with_query_added : t -> Topk.Query.t -> t * int
+(** Insert a top-k query, returning the successor and the query's
+    index. The nearest existing query's subdomain is tried first (the
+    paper's kNN shortcut) and verified against its boundaries; only on
+    mismatch is the prefix recomputed from scratch.
     @raise Invalid_argument when the query's [k] exceeds the index
     depth (rebuild with [depth_slack] instead). *)
 
-val remove_query : t -> int -> unit
+val with_query_removed : t -> int -> t
 (** Remove the query at an index; later query indices shift down. *)
 
-val add_object : t -> Vec.t -> int
-(** Insert an object (raw attributes), returning its id. Subdomain
-    boundaries move only where the new function cuts into a cached
-    prefix; those prefixes are updated by sorted insertion, everything
-    else is untouched. *)
+val with_object_added : t -> Vec.t -> t * int
+(** Insert an object (raw attributes), returning the successor and the
+    object id. Subdomain boundaries move only where the new function
+    cuts into a cached prefix; those prefixes are updated by sorted
+    insertion, everything else is shared with the parent. *)
 
-val remove_object : t -> int -> unit
+val with_object_updated : t -> int -> Vec.t -> t
+(** Replace object [id]'s raw attributes keeping its id. Only
+    subdomains whose cached prefix contains [id] (found via the
+    {!prefix_filter} Bloom filter) or that the moved object now cuts
+    into recompute their prefixes; everything else is shared with the
+    parent. *)
+
+val with_object_removed : t -> int -> t
 (** Remove an object id (later ids shift down). The Bloom filter over
     prefix membership ({!prefix_filter}) short-circuits the search for
     affected subdomains; only those recompute their prefixes. *)
@@ -117,38 +128,11 @@ val prefix_filter : t -> int Bloom.t
 (** Bloom filter over object ids that bound some populated subdomain
     (appear in a cached prefix) — Section 4.3's structure. *)
 
-(** {2 Copy-on-write variants}
-
-    Functional counterparts of the update operations above: the input
-    index is left fully intact and a new index is returned, so a reader
-    holding the original can keep searching against a consistent
-    snapshot while a writer builds the next generation. Unchanged
-    prefix arrays and the instance's untouched column slabs are shared
-    structurally between the two. *)
-
-val with_query_added : t -> Topk.Query.t -> t * int
-(** Functional {!add_query}: returns the new index and the inserted
-    query's index. @raise Invalid_argument as {!add_query}. *)
-
-val with_query_removed : t -> int -> t
-(** Functional {!remove_query}. *)
-
-val with_object_added : t -> Vec.t -> t * int
-(** Functional {!add_object}: returns the new index and the object id. *)
-
-val with_object_updated : t -> int -> Vec.t -> t
-(** Functional in-place object update: replace object [id]'s raw
-    attributes keeping its id, in a successor index. Only subdomains
-    whose cached prefix contains [id] (found via the {!prefix_filter}
-    Bloom filter) or that the moved object now cuts into recompute
-    their prefixes; everything else is shared with the parent. *)
-
-val with_object_removed : t -> int -> t
-(** Functional {!remove_object}. *)
-
 val hint_stats : t -> int * int
-(** [(hits, misses)] of the kNN subdomain shortcut across
-    {!add_query} calls. *)
+(** [(hits, misses)] of the kNN subdomain shortcut across the
+    {!with_query_added} calls that led from the built index to this
+    one. A successor carries its parent's counts forward; the parent's
+    never move. *)
 
 (** {2 Persistence}
 

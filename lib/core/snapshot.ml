@@ -11,8 +11,8 @@ type t = {
   prune : bool;
   lock : Mutex.t;
   cache : (int, entry) Hashtbl.t;
-  mutable onion : Topk.Onion.t option;
-      (* both mutable members are lock-guarded caches of pure
+  onion : Topk.Onion.t Lazy.t;
+      (* the cache and the onion are lock-guarded caches of pure
          functions of the frozen [index]; see the interface *)
 }
 
@@ -23,7 +23,8 @@ let make ~generation ~prune index =
     prune;
     lock = Mutex.create ();
     cache = Hashtbl.create 16;
-    onion = None;
+    onion =
+      lazy (Topk.Onion.build (Query_index.instance index).Instance.features);
   }
 
 let root ?(generation = 0) ~prune index = make ~generation ~prune index
@@ -49,22 +50,11 @@ let find_entry t target = Hashtbl.find_opt t.cache target
 let set_entry t target e = Hashtbl.replace t.cache target e
 
 let layers t =
-  if not t.prune then None
-  else begin
-    let onion =
-      match t.onion with
-      | Some onion -> onion
-      | None ->
-          let onion =
-            Topk.Onion.build (Query_index.instance t.index).Instance.features
-          in
-          t.onion <- Some onion;
-          onion
-    in
-    Some (Topk.Onion.layer_of onion)
-  end
+  if t.prune then Some (Topk.Onion.layer_of (Lazy.force t.onion)) else None
 
-let onion_layers t = Option.map Topk.Onion.layer_count t.onion
+let onion_layers t =
+  if Lazy.is_val t.onion then Some (Topk.Onion.layer_count (Lazy.force t.onion))
+  else None
 
 let eval_total t =
   locked t (fun () ->

@@ -12,10 +12,10 @@
     holding a snapshot can keep searching it unsynchronised while any
     number of mutations land.
 
-    The two mutable members (the onion and the evaluator cache) are
+    The onion (a lazy value) and the evaluator cache (a hash table) are
     {e caches of pure functions of the frozen index}: building them
-    late never changes an answer, only its cost. Both are guarded by
-    the snapshot's own lock; the engine is the only caller of the
+    late never changes an answer, only its cost. Both are filled under
+    the snapshot's own lock, so no two domains force the onion at once; the engine is the only caller of the
     [locked]/[find_entry]/[set_entry]/[layers] group below, which
     exists so the prepare machinery (backend chains, failover,
     accounting) can stay in [Engine] without re-exposing the cache as
@@ -76,7 +76,7 @@ val set_entry : t -> int -> entry -> unit
 
 val layers : t -> (int -> int) option
 (** The dominance-layer map for ESE pruning, [None] when pruning is
-    off. Builds the onion on first use — call under {!locked}. *)
+    off. Forces the lazy onion on first use — call under {!locked}. *)
 
 val onion_layers : t -> int option
 (** [Some layer_count] once {!layers} has built the onion. *)

@@ -32,11 +32,10 @@
      function publishes and if so always under the writer lock, and
      whether closures handed to it run under a lock. Summaries are
      recomputed in definition order over every file, driven by
-     {!Dataflow.stabilise} — the same bounded-rounds scheme
-     generation-protocol uses, with early exit once the table stops
-     changing (path order puts [lib/bloom] and [lib/core] before
-     their users, so cross-module chains typically converge in round
-     two).
+     {!Dataflow.stabilise}'s bounded rounds, with early exit once the
+     table stops changing (path order puts [lib/bloom] and [lib/core]
+     before their users, so cross-module chains typically converge in
+     round two).
    - An {e event stream} per binding: container writes, mutating
      calls resolved through summaries, snapshot/successor
      constructions, [Atomic.set] publications, stores into

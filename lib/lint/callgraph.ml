@@ -905,7 +905,7 @@ let build ~pool (proj : Project.t) =
 
 (* ---------------------- standalone resolution --------------------- *)
 
-(* The protocol analyses (Genproto, Budget_loop) re-walk function
+(* The whole-program analyses (Budget_loop, Alias) re-walk function
    bodies themselves but still need to know what a [Longident] means
    project-wide. [make_resolver] packages the pass-1 name tables into
    a per-file resolver using the file's structure-level opens and

@@ -1,9 +1,8 @@
 (* Generic monotone-framework engine.
 
-   The protocol analyses (Genproto, Budget_loop) need interprocedural
-   summaries computed to a fixpoint over the {!Callgraph}: "does every
-   path through this node bump the generation", "may this node reach
-   an evaluation", and so on. Each of those is an instance of the same
+   The protocol analysis (Budget_loop) needs interprocedural summaries
+   computed to a fixpoint over the {!Callgraph}: "may this node reach
+   an evaluation", "may it consult the budget", and so on. Each of those is an instance of the same
    shape — a finite set of nodes, a lattice of facts, and a monotone
    transfer function that reads the facts of the nodes it depends on —
    so the worklist machinery lives here once, parameterised over the
@@ -183,10 +182,10 @@ let node_summary (cg : Callgraph.t) ~seed ~via =
 (* Round-based global fixpoints                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* The summary-table analyses (generation-protocol, alias/escape) are
-   not node-indexed: they recompute a whole [(string, summary)] table
-   per round in definition order and rely on bounded rounds rather
-   than a worklist. [stabilise] owns that driver once: run [step] up
+(* The summary-table analysis (alias/escape) is not node-indexed: it
+   recomputes a whole [(string, summary)] table per round in
+   definition order and relies on bounded rounds rather than a
+   worklist. [stabilise] owns that driver once: run [step] up
    to [rounds] times, stopping early when two consecutive [snapshot]s
    are [equal]. Returns the number of rounds actually run (useful for
    tests asserting convergence). A monotone [step] over a finite

@@ -113,7 +113,7 @@ let build (cg : Callgraph.t) : t =
   tbl
 
 (* Follow [Via] links from [node] along [exn] down to a [Direct] raise
-   site, rendering "Engine.evaluate -> Min_cost.search (raises
+   site, rendering "Engine.min_cost -> Min_cost.search (raises
    Invalid_argument at file:line)". Cycle-guarded: mutual recursion can
    make the origin chain loop. *)
 let witness (t : t) node exn =

@@ -59,7 +59,6 @@ let rule_parse_error = "parse-error"
 let rule_domain_call = "domain-unsafe-call"
 let rule_engine_boundary = "engine-boundary-raise"
 let rule_dead_export = "dead-export"
-let rule_genproto = Genproto.rule_id
 let rule_budget = Budget_loop.rule_id
 let rule_lifecycle = Lifecycle.rule_id
 let rule_cow = Cow_alias.rule_id
@@ -90,10 +89,6 @@ let all_rules =
        returning an Error.t result (values named *_exn are exempt)" );
     ( rule_dead_export,
       ".mli value of a dune library never referenced outside its own module" );
-    ( rule_genproto,
-      "generation protocol: a mutation of gen-owned state that can exit an \
-       exported entry point without bumping `gen`, or a read of a \
-       gen-stamped payload with no stamp check on some path" );
     ( rule_budget,
       "loop (or self-recursion) reachable from Engine that calls the \
        evaluation kernel without consulting Resilience.Budget on some path" );
@@ -144,9 +139,6 @@ let rule_examples =
     ( rule_dead_export,
       "(* foo.mli *) val helper : unit -> int\n\
        (* no module outside Foo ever references Foo.helper *)" );
-    ( rule_genproto,
-      "let clear t = Hashtbl.reset t.cache\n\
-       (* exported entry point mutates gen-owned state, never bumps t.gen *)" );
     ( rule_budget,
       "let rec drain t = eval_next t; drain t\n\
        (* reachable from Engine, no Resilience.Budget check on the loop *)" );
@@ -582,11 +574,6 @@ let lint_paths_timed ?(enabled = fun _ -> true) ?jobs ?(pragmas = true) paths =
             timed "dead-export" (fun () -> Exn_escape.dead_export_findings cg)
           else []
         in
-        let gen_findings =
-          if enabled rule_genproto then
-            timed rule_genproto (fun () -> Genproto.findings cg)
-          else []
-        in
         let budget_findings =
           if enabled rule_budget then
             timed rule_budget (fun () -> Budget_loop.findings cg)
@@ -617,7 +604,7 @@ let lint_paths_timed ?(enabled = fun _ -> true) ?jobs ?(pragmas = true) paths =
         in
         let all =
           per_file @ eff_findings @ exn_findings @ dead_findings
-          @ gen_findings @ budget_findings @ cow_findings @ snap_findings
+          @ budget_findings @ cow_findings @ snap_findings
           @ pub_order_findings @ unlocked_findings
         in
         let all =

@@ -42,10 +42,6 @@
       [Error.t] result ([*_exn] values are exempt by convention).
     - [dead-export]: a [.mli] value of a dune library never referenced
       outside its own module.
-    - [generation-protocol]: a mutation of gen-owned engine state that
-      can exit an exported entry point without bumping [gen], or a
-      read of a gen-stamped payload with no stamp check dominating it
-      (with the witness path as related locations).
     - [budget-unchecked-loop]: a loop (or self-recursive function)
       reachable from [Engine] that calls the evaluation kernel on a
       path that never consults [Resilience.Budget].

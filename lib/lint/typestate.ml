@@ -1,7 +1,7 @@
 (* Path-sensitive abstract interpretation over untyped function
    bodies.
 
-   The protocol rules (Genproto, Budget_loop, Lifecycle) all walk an
+   The protocol rules (Budget_loop, Lifecycle, Pub_order) all walk an
    expression in evaluation order, carrying an abstract state that
    joins at control-flow merges. This module owns that walk once; a
    rule supplies a {!hooks} record — its lattice ([join]/[equal]) plus
@@ -44,29 +44,15 @@ type 'st hooks = {
           arguments are NOT routed through [on_ident]; they appear
           only in the argument list here (an argument position is a
           use/escape, not a read, and clients treat it differently). *)
-  on_field : 'st -> expression -> string -> Location.t -> 'st;
-      (** [on_field st base field loc] — a read [base.field]; [base]
-          has already executed. *)
   on_setfield : 'st -> expression -> string -> Location.t -> 'st;
       (** [base.field <- v] after [base] and [v] have executed. *)
   on_bind : 'st -> string list -> expression option -> 'st;
       (** [let p = rhs] after [rhs] executed; the names bound by [p],
           and the (stripped) rhs when there is one ([None] for
           match/function case patterns). *)
-  on_record : 'st -> string list -> Location.t -> 'st;
-      (** A record literal (or functional update), with the last
-          components of its field labels. *)
   on_ident : 'st -> Longident.t -> Location.t -> 'st;
       (** A value identifier in evaluation position (not the head of
           an application, not a bare argument). *)
-  on_closure_arg : 'st -> Longident.t -> 'st;
-      (** Called just before a literal [fun]/[function] argument of an
-          application of [lid] is inlined. Closure inlining runs the
-          body "at the call site", which is too early for
-          callback-style wrappers ([with_failover t (fun e -> …)])
-          whose precondition is established *inside* the callee before
-          the callback runs; a client can use the head's summary to
-          pre-establish that state here. *)
   loop_limit : int;
 }
 
@@ -75,12 +61,9 @@ let default_hooks ~join ~equal =
     join;
     equal;
     on_apply = (fun st _ _ _ -> st);
-    on_field = (fun st _ _ _ -> st);
     on_setfield = (fun st _ _ _ -> st);
     on_bind = (fun st _ _ -> st);
-    on_record = (fun st _ _ -> st);
     on_ident = (fun st _ _ -> st);
-    on_closure_arg = (fun st _ -> st);
     loop_limit = 8;
   }
 
@@ -117,21 +100,14 @@ let rec exec h st e =
   | Pexp_ident { txt; _ } -> h.on_ident st txt loc
   | Pexp_constant _ -> st
   | Pexp_apply (f, args) -> exec_apply h st loc f args
-  | Pexp_field (base, { txt = flid; _ }) ->
-      let st = exec h st base in
-      h.on_field st base (Ast_util.last_comp flid) loc
+  | Pexp_field (base, _) -> exec h st base
   | Pexp_setfield (base, { txt = flid; _ }, v) ->
       let st = exec h st base in
       let st = exec h st v in
       h.on_setfield st base (Ast_util.last_comp flid) loc
   | Pexp_record (fields, base) ->
       let st = match base with Some b -> exec h st b | None -> st in
-      let st =
-        List.fold_left (fun st (_, fe) -> exec h st fe) st fields
-      in
-      h.on_record st
-        (List.map (fun ({ Location.txt; _ }, _) -> Ast_util.last_comp txt) fields)
-        loc
+      List.fold_left (fun st (_, fe) -> exec h st fe) st fields
   | Pexp_let (_, vbs, body) ->
       let st =
         List.fold_left
@@ -224,15 +200,7 @@ and exec_apply h st loc f args =
       | Pexp_ident { txt; _ } ->
           let st =
             List.fold_left
-              (fun st (_, a) ->
-                if is_bare_ident a then st
-                else
-                  let st =
-                    match (Ast_util.strip a).pexp_desc with
-                    | Pexp_fun _ | Pexp_function _ -> h.on_closure_arg st txt
-                    | _ -> st
-                  in
-                  exec h st a)
+              (fun st (_, a) -> if is_bare_ident a then st else exec h st a)
               st args
           in
           h.on_apply st txt loc args

@@ -166,7 +166,12 @@ let step st =
       | Some s -> s
       | None -> Iq.Strategy.zero (stmt_dim st)
     in
-    Ok (`Row (st.st_eval.Iq.Evaluator.hit_count s))
+    (* The evaluator may carry an injected eval fault; like every engine
+       read, a raise becomes a typed [Internal] error, never an escape. *)
+    match st.st_eval.Iq.Evaluator.hit_count s with
+    | hits -> Ok (`Row hits)
+    | exception e ->
+        Error (Error.Engine (Iq.Engine.Error.Internal (Printexc.to_string e)))
 
 let with_stmt t ~target f =
   match prepare t ~target with

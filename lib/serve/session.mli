@@ -106,7 +106,8 @@ val step : stmt -> ([ `Row of int | `Done ], Error.t) result
     yields [`Row hits] — the bound strategy's exact hit count under
     the pinned generation — and the next yields [`Done].
     [Error Finalized] after {!finalize}, [Error Closed] after the
-    session closed. *)
+    session closed; an evaluation that raises (e.g. an injected
+    [IQ_FAULT] eval fault) is [Error (Engine (Internal _))]. *)
 
 val finalize : stmt -> unit
 (** Release the statement. Idempotent; never raises. Stepping a

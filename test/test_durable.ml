@@ -402,6 +402,39 @@ let test_store_auto_checkpoint () =
       Alcotest.(check int) "one record since the checkpoint" 1
         (List.length (Wal.scan_file (Wal.path_in dir)).Wal.entries))
 
+(* An automatic checkpoint runs after its mutation is logged and
+   published. When it fails, the mutation must still report success (a
+   caller retrying it would apply it twice) and the log accounting must
+   stay put, so the next mutation tries the checkpoint again. *)
+let test_auto_checkpoint_failure_keeps_mutation () =
+  let e = engine (make_instance ()) in
+  let attempts = ref 0 in
+  Engine.attach_journal e
+    {
+      Engine.j_append = (fun ~generation:_ _ -> 16);
+      j_checkpoint =
+        (fun _ ->
+          incr attempts;
+          failwith "checkpoint: disk full");
+      j_every = Some 1;
+    };
+  let gen0 = Engine.generation e in
+  let ckpt0 = (Engine.stats e).Engine.last_checkpoint_generation in
+  (match Engine.add_object e (vec3 0.2 0.5 0.4) with
+  | Ok (_ : int) -> ()
+  | Error err ->
+      Alcotest.failf "durable mutation reported failed: %s"
+        (Engine.Error.to_string err));
+  let st = Engine.stats e in
+  Alcotest.(check int) "generation advanced" (gen0 + 1) (Engine.generation e);
+  Alcotest.(check (option int)) "no checkpoint recorded" ckpt0
+    st.Engine.last_checkpoint_generation;
+  Alcotest.(check int) "log bytes kept" 16 st.Engine.wal_bytes;
+  Alcotest.(check int) "checkpoint attempted" 1 !attempts;
+  ok (Engine.remove_object e 0);
+  Alcotest.(check int) "next mutation retries" 2 !attempts;
+  Alcotest.(check int) "log bytes accumulate" 32 (Engine.stats e).Engine.wal_bytes
+
 (* ------------------------- recovery -------------------------------- *)
 
 let targets_upto e n =
@@ -798,6 +831,8 @@ let suite =
       test_store_attach_and_stats;
     Alcotest.test_case "store auto-checkpoint cadence" `Quick
       test_store_auto_checkpoint;
+    Alcotest.test_case "failed auto-checkpoint keeps the mutation" `Quick
+      test_auto_checkpoint_failure_keeps_mutation;
     Alcotest.test_case "recovery replays the log tail" `Quick
       test_recovery_replays_log;
     Alcotest.test_case "recovery from checkpoint alone" `Quick

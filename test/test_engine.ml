@@ -1,8 +1,8 @@
 (* Iq.Engine: the lifecycle-managed serving facade. Covers the
-   generation-tracked cache (mutation -> transparent re-preparation,
-   stale prepared handles), the typed error taxonomy, the pluggable
-   backends, and the contract that the facade is byte-identical to
-   wiring the search layer directly. *)
+   generation-tracked cache (mutation -> transparent re-preparation),
+   the typed error taxonomy, the pluggable backends, and the contract
+   that the facade is byte-identical to wiring the search layer
+   directly. *)
 
 open Iq
 
@@ -61,31 +61,6 @@ let test_hits_match_direct_membership () =
     if ok (Engine.member e ~target ~q) then incr count
   done;
   Alcotest.(check int) "hits = #member" (ok (Engine.hits e ~target)) !count
-
-let test_stale_handle () =
-  let inst = make_instance ~seed:11 () in
-  let e = engine inst in
-  let target = 3 in
-  let d = Instance.dim inst in
-  let handle = ok (Engine.prepare e ~target) in
-  Alcotest.(check int) "handle target" target (Engine.prepared_target handle);
-  Alcotest.(check int) "handle generation" 0 (Engine.prepared_generation handle);
-  let before = ok (Engine.evaluate e handle ~s:(Geom.Vec.zero d)) in
-  Alcotest.(check int) "handle answers current hits" (ok (Engine.hits e ~target)) before;
-  ignore (ok (Engine.add_object e (Array.make (Instance.dim_raw inst) 0.01)));
-  (match Engine.evaluate e handle ~s:(Geom.Vec.zero d) with
-  | Error (Engine.Error.Stale_state { held = 0; current = 1 }) -> ()
-  | Ok _ -> Alcotest.fail "stale handle answered"
-  | Error e -> Alcotest.failf "wrong error: %s" (Engine.Error.to_string e));
-  (* refresh is the recovery path: a current handle for the same
-     target, agreeing with a fresh build. *)
-  let handle' = ok (Engine.refresh e handle) in
-  Alcotest.(check int) "refreshed generation" 1 (Engine.prepared_generation handle');
-  let fresh = engine (Engine.instance e) in
-  Alcotest.(check int)
-    "refreshed handle = fresh build"
-    (ok (Engine.hits fresh ~target))
-    (ok (Engine.evaluate e handle' ~s:(Geom.Vec.zero d)))
 
 let test_per_call_evaluations () =
   let inst = make_instance ~seed:19 () in
@@ -457,8 +432,6 @@ let suite =
       test_size_words_shrinks_on_removal;
     Alcotest.test_case "hits = membership count" `Quick
       test_hits_match_direct_membership;
-    Alcotest.test_case "prepared handle goes stale, refresh recovers" `Quick
-      test_stale_handle;
     Alcotest.test_case "per-call evaluation accounting" `Quick
       test_per_call_evaluations;
     Alcotest.test_case "engine = direct wiring (sequential)" `Quick

@@ -102,30 +102,56 @@ let fresh_index seed =
   let inst = Instance.create ~data ~queries () in
   Query_index.build inst
 
-let assert_index_consistent idx =
-  (* Compare every membership against a freshly built index. *)
+(* Same instance shape, same groups and the same membership everywhere. *)
+let assert_same ~what idx fresh =
   let inst = Query_index.instance idx in
-  let fresh = Query_index.build inst in
+  let inst' = Query_index.instance fresh in
+  Alcotest.(check int)
+    (what ^ ": objects") (Instance.n_objects inst') (Instance.n_objects inst);
+  Alcotest.(check int)
+    (what ^ ": queries") (Instance.n_queries inst') (Instance.n_queries inst);
+  Alcotest.(check int)
+    (what ^ ": groups") (Query_index.n_groups fresh) (Query_index.n_groups idx);
   for id = 0 to Instance.n_objects inst - 1 do
     for q = 0 to Instance.n_queries inst - 1 do
       if Query_index.member idx ~q id <> Query_index.member fresh ~q id then
-        Alcotest.failf "stale membership id=%d q=%d" id q
+        Alcotest.failf "%s: stale membership id=%d q=%d" what id q
     done
   done
 
+let assert_index_consistent idx =
+  assert_same ~what:"successor" idx (Query_index.build (Query_index.instance idx))
+
+(* Run a copy-on-write update on a fresh index, then check the parent
+   still equals the fresh build of its instance taken before the
+   update: no update may write through to the generation it came from.
+   Returns the (checked) parent and the update's result. *)
+let on_parent seed update =
+  let idx = fresh_index seed in
+  let before = Query_index.build (Query_index.instance idx) in
+  let r = update idx in
+  assert_same ~what:"parent" idx before;
+  (idx, r)
+
 let test_add_query () =
-  let idx = fresh_index 101 in
-  let qi = Query_index.add_query idx (Topk.Query.make ~k:3 [| 0.2; 0.3; 0.5 |]) in
+  let _, (idx, qi) =
+    on_parent 101 (fun idx ->
+        Query_index.with_query_added idx (Topk.Query.make ~k:3 [| 0.2; 0.3; 0.5 |]))
+  in
   Alcotest.(check int) "appended" (Instance.n_queries (Query_index.instance idx) - 1) qi;
   assert_index_consistent idx
 
 let test_add_query_hint_hits_for_duplicate () =
-  let idx = fresh_index 102 in
-  let inst = Query_index.instance idx in
-  (* Re-adding an existing query point must verify via the kNN hint. *)
-  let w = Geom.Vec.copy inst.Instance.queries.(0).Topk.Query.weights in
-  let k = inst.Instance.queries.(0).Topk.Query.k in
-  ignore (Query_index.add_query idx (Topk.Query.make ~k w));
+  let parent, (idx, _) =
+    on_parent 102 (fun idx ->
+        let inst = Query_index.instance idx in
+        (* Re-adding an existing query point must verify via the kNN hint. *)
+        let w = Geom.Vec.copy inst.Instance.queries.(0).Topk.Query.weights in
+        let k = inst.Instance.queries.(0).Topk.Query.k in
+        Query_index.with_query_added idx (Topk.Query.make ~k w))
+  in
+  Alcotest.(check (pair int int))
+    "parent hint stats unmoved" (0, 0) (Query_index.hint_stats parent);
   let hits, misses = Query_index.hint_stats idx in
   Alcotest.(check bool)
     (Printf.sprintf "hint hit (%d/%d)" hits misses)
@@ -133,27 +159,32 @@ let test_add_query_hint_hits_for_duplicate () =
   assert_index_consistent idx
 
 let test_add_query_k_guard () =
-  let idx = fresh_index 103 in
-  Alcotest.(check bool)
-    "too-deep k rejected" true
-    (try
-       ignore (Query_index.add_query idx (Topk.Query.make ~k:100 [| 1.; 1.; 1. |]));
-       false
-     with Invalid_argument _ -> true)
+  snd @@ on_parent 103 (fun idx ->
+      Alcotest.(check bool)
+        "too-deep k rejected" true
+        (try
+           ignore
+             (Query_index.with_query_added idx
+                (Topk.Query.make ~k:100 [| 1.; 1.; 1. |]));
+           false
+         with Invalid_argument _ -> true))
 
 let test_remove_query () =
-  let idx = fresh_index 104 in
-  let before = Instance.n_queries (Query_index.instance idx) in
-  Query_index.remove_query idx 10;
+  let parent, idx =
+    on_parent 104 (fun idx -> Query_index.with_query_removed idx 10)
+  in
   Alcotest.(check int)
-    "one fewer" (before - 1)
+    "one fewer"
+    (Instance.n_queries (Query_index.instance parent) - 1)
     (Instance.n_queries (Query_index.instance idx));
   assert_index_consistent idx
 
 let test_add_object () =
-  let idx = fresh_index 105 in
   (* A dominant object must enter many prefixes. *)
-  let id = Query_index.add_object idx [| 0.01; 0.01; 0.01 |] in
+  let _, (idx, id) =
+    on_parent 105 (fun idx ->
+        Query_index.with_object_added idx [| 0.01; 0.01; 0.01 |])
+  in
   Alcotest.(check int) "id appended" (Instance.n_objects (Query_index.instance idx) - 1) id;
   assert_index_consistent idx;
   (* It should now hit top-1 for every query (it dominates everything). *)
@@ -165,43 +196,51 @@ let test_add_object () =
   done
 
 let test_add_object_mediocre () =
-  let idx = fresh_index 106 in
   (* A dominated object should change nothing. *)
-  let groups_before = Query_index.n_groups idx in
-  ignore (Query_index.add_object idx [| 0.99; 0.99; 0.99 |]);
+  let parent, (idx, _) =
+    on_parent 106 (fun idx ->
+        Query_index.with_object_added idx [| 0.99; 0.99; 0.99 |])
+  in
   assert_index_consistent idx;
-  Alcotest.(check int) "groups unchanged" groups_before (Query_index.n_groups idx)
+  Alcotest.(check int)
+    "groups unchanged" (Query_index.n_groups parent) (Query_index.n_groups idx)
 
 let test_remove_object () =
-  let idx = fresh_index 107 in
   (* Remove an object that appears in prefixes (pick a rival). *)
-  let victim = (Query_index.candidate_rivals idx).(0) in
-  Query_index.remove_object idx victim;
+  let _, idx =
+    on_parent 107 (fun idx ->
+        let victim = (Query_index.candidate_rivals idx).(0) in
+        Query_index.with_object_removed idx victim)
+  in
   assert_index_consistent idx
 
 let test_remove_uninvolved_object () =
-  let idx = fresh_index 108 in
-  let inst = Query_index.instance idx in
-  let rivals = Query_index.candidate_rivals idx in
-  let is_rival id = Array.exists (fun r -> r = id) rivals in
-  let victim = ref (-1) in
-  for id = Instance.n_objects inst - 1 downto 0 do
-    if !victim < 0 && not (is_rival id) then victim := id
-  done;
-  if !victim >= 0 then begin
-    Query_index.remove_object idx !victim;
-    assert_index_consistent idx
-  end
+  snd @@ on_parent 108 (fun idx ->
+      let inst = Query_index.instance idx in
+      let rivals = Query_index.candidate_rivals idx in
+      let is_rival id = Array.exists (fun r -> r = id) rivals in
+      let victim = ref (-1) in
+      for id = Instance.n_objects inst - 1 downto 0 do
+        if !victim < 0 && not (is_rival id) then victim := id
+      done;
+      if !victim >= 0 then
+        assert_index_consistent (Query_index.with_object_removed idx !victim))
 
 let test_update_sequence () =
   (* A realistic mixed maintenance sequence stays consistent. *)
-  let idx = fresh_index 109 in
-  ignore (Query_index.add_object idx [| 0.3; 0.1; 0.5 |]);
-  ignore (Query_index.add_query idx (Topk.Query.make ~k:2 [| 0.5; 0.5; 0.1 |]));
-  Query_index.remove_object idx 3;
-  Query_index.remove_query idx 0;
-  ignore (Query_index.add_query idx (Topk.Query.make ~k:4 [| 0.1; 0.8; 0.3 |]));
-  ignore (Query_index.add_object idx [| 0.05; 0.6; 0.2 |]);
+  let _, idx =
+    on_parent 109 (fun idx ->
+        let idx, _ = Query_index.with_object_added idx [| 0.3; 0.1; 0.5 |] in
+        let idx, _ =
+          Query_index.with_query_added idx (Topk.Query.make ~k:2 [| 0.5; 0.5; 0.1 |])
+        in
+        let idx = Query_index.with_object_removed idx 3 in
+        let idx = Query_index.with_query_removed idx 0 in
+        let idx, _ =
+          Query_index.with_query_added idx (Topk.Query.make ~k:4 [| 0.1; 0.8; 0.3 |])
+        in
+        fst (Query_index.with_object_added idx [| 0.05; 0.6; 0.2 |]))
+  in
   assert_index_consistent idx
 
 let test_save_load_roundtrip () =

@@ -1086,115 +1086,6 @@ let test_lifecycle_wal_double_close () =
   | fs' ->
       Alcotest.failf "expected one lifecycle finding, got %d" (List.length fs')
 
-(* ------------------------- generation-protocol ------------------- *)
-
-let genproto fs = by_rule "generation-protocol" fs
-
-let store_ml = "let add_item tbl x = Hashtbl.replace tbl x x\n"
-let owner_dune = ("dune", "(library (name fixgen))\n")
-
-let test_genproto_missed_bump_fires () =
-  let fs =
-    genproto
-      (lint_project
-         [
-           owner_dune;
-           ("store.ml", store_ml);
-           ( "owner.ml",
-             "type t = { mutable gen : int; tbl : (int, int) Hashtbl.t }\n\
-              let touch t = Store.add_item t.tbl 1\n\
-              let touch_ok t =\n\
-             \  Store.add_item t.tbl 1;\n\
-             \  t.gen <- t.gen + 1\n" );
-         ])
-  in
-  match fs with
-  | [ f ] ->
-      Alcotest.(check bool) "in owner.ml" true
-        (Filename.basename f.Lint.file = "owner.ml");
-      Alcotest.(check int) "at the unbumped mutation" 2 f.Lint.line;
-      Alcotest.(check bool) "asks for a generation bump" true
-        (contains f.Lint.message "generation bump");
-      Alcotest.(check bool) "relates the exported entry point" true
-        (List.exists
-           (fun r -> contains r.Lint.rl_note "touch")
-           f.Lint.related)
-  | fs' -> Alcotest.failf "expected one genproto finding, got %d" (List.length fs')
-
-let test_genproto_bump_on_every_path_clean () =
-  let fs =
-    genproto
-      (lint_project
-         [
-           owner_dune;
-           ("store.ml", store_ml);
-           ( "owner.ml",
-             "type t = { mutable gen : int; tbl : (int, int) Hashtbl.t }\n\
-              let touch t =\n\
-             \  Store.add_item t.tbl 1;\n\
-             \  t.gen <- t.gen + 1\n" );
-         ])
-  in
-  Alcotest.check rules_t "bumped mutation is clean" [] (rules fs)
-
-let test_genproto_unchecked_read_fires () =
-  let fs =
-    genproto
-      (lint_project
-         [
-           owner_dune;
-           ( "snap.ml",
-             "type snap = { snap_gen : int; data : int array }\n\
-              let peek s = Array.length s.data\n\
-              let peek_ok live s =\n\
-             \  if s.snap_gen = live then Array.length s.data else 0\n\
-              let raw s = s.data\n" );
-         ])
-  in
-  match fs with
-  | [ f ] ->
-      Alcotest.(check int) "the unchecked read in peek" 2 f.Lint.line;
-      Alcotest.(check bool) "names the payload field" true
-        (contains f.Lint.message "`data`")
-  | fs' -> Alcotest.failf "expected one genproto finding, got %d" (List.length fs')
-
-let test_genproto_checked_callback_clean () =
-  (* A closure handed to a same-file wrapper that checks the stamp on
-     every path runs after the check, even though the analysis inlines
-     it at the call site. *)
-  let fs =
-    genproto
-      (lint_project
-         [
-           owner_dune;
-           ( "snap.ml",
-             "type snap = { snap_gen : int; data : int array }\n\
-              let with_fresh live s f =\n\
-             \  if s.snap_gen = live then Some (f s) else None\n\
-              let use live s = with_fresh live s (fun s -> Array.length s.data)\n"
-           );
-         ])
-  in
-  Alcotest.check rules_t "callback under a checking wrapper is clean" []
-    (rules fs)
-
-let test_genproto_pragma () =
-  let fs =
-    genproto
-      (lint_project
-         [
-           owner_dune;
-           ("store.ml", store_ml);
-           ( "owner.ml",
-             "type t = { mutable gen : int; tbl : (int, int) Hashtbl.t }\n\
-              let touch t =\n\
-             \  (* iqlint: allow generation-protocol — rebuilt from scratch \
-              next read *)\n\
-             \  Store.add_item t.tbl 1\n" );
-         ])
-  in
-  Alcotest.check rules_t "pragma suppresses" [] (rules fs)
-
 (* ------------------------- budget-unchecked-loop ----------------- *)
 
 let budget fs = by_rule "budget-unchecked-loop" fs
@@ -1422,7 +1313,6 @@ let test_timings_payload () =
           "load";
           "per-file";
           "callgraph";
-          "generation-protocol";
           "budget-unchecked-loop";
           "pragmas";
         ];
@@ -1489,10 +1379,6 @@ let test_jobs_deterministic_protocol () =
         ("dune", "(library (name fixlib))\n");
         ("evaluator.ml", evaluator_ml);
         ("engine.ml", unchecked_engine_ml);
-        ("store.ml", store_ml);
-        ( "owner.ml",
-          "type t = { mutable gen : int; tbl : (int, int) Hashtbl.t }\n\
-           let touch t = Store.add_item t.tbl 1\n" );
         ( "leak.ml",
           "let slurp () =\n  let ic = open_in \"x\" in\n  input_line ic\n" );
       ]
@@ -1507,7 +1393,7 @@ let test_jobs_deterministic_protocol () =
       List.iter
         (fun rule ->
           Alcotest.(check bool) (rule ^ " present") true (contains o1 rule))
-        [ "generation-protocol"; "budget-unchecked-loop"; "handle-lifecycle" ];
+        [ "budget-unchecked-loop"; "handle-lifecycle" ];
       Alcotest.(check string) "--jobs 4 output byte-identical to --jobs 1" o1 o4)
 
 (* ------------------------- alias & escape rules ------------------ *)
@@ -1988,16 +1874,6 @@ let suite =
       test_lifecycle_wal_bracket_ok;
     Alcotest.test_case "handle-lifecycle: wal double close" `Quick
       test_lifecycle_wal_double_close;
-    Alcotest.test_case "generation-protocol: missed bump fires" `Quick
-      test_genproto_missed_bump_fires;
-    Alcotest.test_case "generation-protocol: bump on every path clean" `Quick
-      test_genproto_bump_on_every_path_clean;
-    Alcotest.test_case "generation-protocol: unchecked read fires" `Quick
-      test_genproto_unchecked_read_fires;
-    Alcotest.test_case "generation-protocol: checked callback clean" `Quick
-      test_genproto_checked_callback_clean;
-    Alcotest.test_case "generation-protocol: pragma suppresses" `Quick
-      test_genproto_pragma;
     Alcotest.test_case "budget-unchecked-loop: loop and recursion fire" `Quick
       test_budget_loop_fires;
     Alcotest.test_case "budget-unchecked-loop: polled loop clean" `Quick

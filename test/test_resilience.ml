@@ -7,6 +7,7 @@
 open Iq
 module Budget = Resilience.Budget
 module Fault = Resilience.Fault
+module Session = Serve.Session
 
 let pool1 = Parallel.create ~domains:1 ()
 
@@ -23,6 +24,16 @@ let ok = function
   | Ok v -> v
   | Error e ->
       Alcotest.failf "unexpected engine error: %s" (Engine.Error.to_string e)
+
+let sok = function
+  | Ok v -> v
+  | Error e ->
+      Alcotest.failf "unexpected session error: %s" (Session.Error.to_string e)
+
+let row st =
+  match sok (Session.step st) with
+  | `Row h -> h
+  | `Done -> Alcotest.fail "expected a row"
 
 (* All chaos engines run on the sequential pool: fault-site consult
    counts are then independent of scheduling, so the same seed gives
@@ -347,7 +358,10 @@ let test_mutation_taxonomy_matrix () =
     let target = 0 in
     let d = Instance.dim inst in
     ignore (ok (Engine.evaluator e ~target));
-    let handle = ok (Engine.prepare e ~target) in
+    let hits0 = ok (Engine.hits e ~target) in
+    let sess = sok (Session.open_ e) in
+    Fun.protect ~finally:(fun () -> Session.close sess) @@ fun () ->
+    let st = sok (Session.prepare sess ~target) in
     let gen0 = Engine.generation e in
     let repreps0 = (Engine.stats e).Engine.repreparations in
     mutate e;
@@ -360,15 +374,12 @@ let test_mutation_taxonomy_matrix () =
       (name ^ ": repreparation recorded")
       (repreps0 + 1)
       (Engine.stats e).Engine.repreparations;
-    (* Prepared handle: exact Stale_state. *)
-    (match Engine.evaluate e handle ~s:(Geom.Vec.zero d) with
-    | Error (Engine.Error.Stale_state { held; current })
-      when held = gen0 && current = gen0 + 1 ->
-        ()
-    | Error err ->
-        Alcotest.failf "%s: wrong stale error: %s" name
-          (Engine.Error.to_string err)
-    | Ok _ -> Alcotest.failf "%s: stale handle must not answer" name);
+    (* A statement prepared before the mutation keeps answering from
+       the generation it pinned. *)
+    Alcotest.(check int)
+      (name ^ ": statement keeps its pin")
+      gen0 (Session.stmt_generation st);
+    Alcotest.(check int) (name ^ ": pinned statement answers") hits0 (row st);
     (* Deadline-bounded search right after the mutation: the fresh
        entry serves it and the trip is the typed anytime error, not a
        staleness artifact. *)
@@ -383,9 +394,17 @@ let test_mutation_taxonomy_matrix () =
         Alcotest.failf "%s: wrong deadline error: %s" name
           (Engine.Error.to_string err)
     | Ok _ -> Alcotest.failf "%s: pre-expired deadline finished" name);
-    (* Recovery: refresh yields a servable current-generation handle. *)
-    let fresh = ok (Engine.refresh e handle) in
-    ignore (ok (Engine.evaluate e fresh ~s:(Geom.Vec.zero d)))
+    (* Recovery: after a session refresh, a new statement serves the
+       current generation and agrees with a fresh engine over it. *)
+    sok (Session.refresh sess);
+    Alcotest.(check int)
+      (name ^ ": session refreshed")
+      (gen0 + 1) (Session.generation sess);
+    let fresh = engine (Engine.instance e) in
+    Alcotest.(check int)
+      (name ^ ": refreshed statement = fresh engine")
+      (ok (Engine.hits fresh ~target))
+      (sok (Session.with_stmt sess ~target (fun st -> Ok (row st))))
   in
   let q d =
     Topk.Query.make ~id:999 ~k:1 (Array.init d (fun i -> 1. /. float_of_int (i + 1)))
@@ -451,7 +470,7 @@ let test_chaos_boundary () =
   let cost = Cost.euclidean (Instance.dim inst) in
   let no_raise name g =
     match g () with
-    | (_ : (unit, Engine.Error.t) result) -> ()
+    | (_ : (unit, _) result) -> ()
     | exception ex ->
         Alcotest.failf "%s leaked exception %s" name (Printexc.to_string ex)
   in
@@ -468,13 +487,10 @@ let test_chaos_boundary () =
             Result.map ignore (Engine.min_cost e ~cost ~target ~tau:3));
         no_raise "max_hit" (fun () ->
             Result.map ignore (Engine.max_hit e ~cost ~target ~beta:0.2));
-        no_raise "prepare+evaluate" (fun () ->
-            match Engine.prepare e ~target with
-            | Error err -> Error err
-            | Ok h ->
-                Result.map ignore
-                  (Engine.evaluate e h
-                     ~s:(Geom.Vec.zero (Instance.dim inst))))
+        no_raise "session statement" (fun () ->
+            Session.with_session e (fun sess ->
+                Session.with_stmt sess ~target (fun st ->
+                    Result.map ignore (Session.step st))))
       done;
       no_raise "min_cost_multi" (fun () ->
           Result.map ignore

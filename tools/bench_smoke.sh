@@ -24,8 +24,14 @@
 #    mutations (exits non-zero above the 5% gate), crash-recovery
 #    replay throughput, and the checkpoint-image size ceiling,
 #    recorded in BENCH_durability.json.
+# 7. End-to-end benchmark self-checks: perfbench/e2e.exe runs each
+#    BENCHMARK.json workload for one second with per-layer tracing and
+#    exits non-zero when a naive-evaluator recheck disagrees, the
+#    traced and untraced answer digests differ, or recovery misses its
+#    generation or hot-set hits. Timings at this length are noise;
+#    only the exit status counts.
 #
-# Also available as a dune alias: `dune build @bench-smoke`.
+# Steps 1-6 are also available as a dune alias: `dune build @bench-smoke`.
 set -eu
 cd "$(dirname "$0")/.."
 export REPRO_SCALE="${REPRO_SCALE:-0.02}"
@@ -36,3 +42,7 @@ dune exec bench/main.exe -- --bench engine
 dune exec bench/main.exe -- --bench resilience
 dune exec bench/main.exe -- --bench mvcc
 dune exec bench/main.exe -- --bench durability
+dune build perfbench/e2e.exe
+for w in search_in_un churn_in_un multi_ac_cl; do
+  ./_build/default/perfbench/e2e.exe --workload "$w" --seconds 1 --trace 1
+done

@@ -12,8 +12,9 @@
 # an env-driven fault schedule), and the bench smoke
 # checks (parallel determinism + engine facade overhead + resilience
 # overhead/anytime curve + MVCC session overhead + WAL append
-# overhead, which also emit BENCH_*.json). Any stage failing fails
-# the run.
+# overhead, which also emit BENCH_*.json, then the end-to-end
+# benchmark's own answer checks on all three workloads). Any stage
+# failing fails the run.
 set -eu
 cd "$(dirname "$0")/.."
 
