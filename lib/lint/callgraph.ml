@@ -905,8 +905,8 @@ let build ~pool (proj : Project.t) =
 
 (* ---------------------- standalone resolution --------------------- *)
 
-(* The whole-program analyses (Budget_loop, Alias) re-walk function
-   bodies themselves but still need to know what a [Longident] means
+(* The whole-program analysis Budget_loop re-walks function bodies
+   itself but still needs to know what a [Longident] means
    project-wide. [make_resolver] packages the pass-1 name tables into
    a per-file resolver using the file's structure-level opens and
    module aliases (a value mentioned before the [open] that would make

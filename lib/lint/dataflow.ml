@@ -177,29 +177,3 @@ let node_summary (cg : Callgraph.t) ~seed ~via =
     match Hashtbl.find_opt index node with
     | Some i -> fact.(i)
     | None -> false
-
-(* ------------------------------------------------------------------ *)
-(* Round-based global fixpoints                                       *)
-(* ------------------------------------------------------------------ *)
-
-(* The summary-table analysis (alias/escape) is not node-indexed: it
-   recomputes a whole [(string, summary)] table per round in
-   definition order and relies on bounded rounds rather than a
-   worklist. [stabilise] owns that driver once: run [step] up
-   to [rounds] times, stopping early when two consecutive [snapshot]s
-   are [equal]. Returns the number of rounds actually run (useful for
-   tests asserting convergence). A monotone [step] over a finite
-   domain converges; a non-monotone one merely stops at the round
-   cap — degradation matches [Solve]'s join-with-previous spirit. *)
-let stabilise ~rounds ~equal ~snapshot step =
-  let rec go i prev =
-    if i >= rounds then i
-    else begin
-      step ();
-      let cur = snapshot () in
-      match prev with
-      | Some p when equal p cur -> i + 1
-      | _ -> go (i + 1) (Some cur)
-    end
-  in
-  go 0 None

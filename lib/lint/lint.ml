@@ -23,7 +23,6 @@ open Longident
    lattices without the test depending on the library's internal
    module layout. *)
 module Dataflow = Dataflow
-module Alias = Alias
 
 type related = Report.related = {
   rl_file : string;
@@ -61,10 +60,6 @@ let rule_engine_boundary = "engine-boundary-raise"
 let rule_dead_export = "dead-export"
 let rule_budget = Budget_loop.rule_id
 let rule_lifecycle = Lifecycle.rule_id
-let rule_cow = Cow_alias.rule_id
-let rule_snap_escape = Snap_escape.rule_id
-let rule_pub_order = Pub_order.rule_id
-let rule_unlocked = Unlocked_pub.rule_id
 
 let all_rules =
   [
@@ -96,23 +91,6 @@ let all_rules =
       "pool/channel lifecycle: use after close/shutdown, double close, \
        handle never closed, or a non-bracketed close that leaks on the \
        exception path" );
-    ( rule_cow,
-      "a copy-on-write `with_*` path writes through an array/hashtable it \
-       did not freshly allocate or explicitly copy; the predecessor \
-       generation shares the structure (witness chain from the write back \
-       to the shared allocation)" );
-    ( rule_snap_escape,
-      "a mutable value reachable from a constructed Snapshot.t is also \
-       reachable from a caller-visible root (module-level state, or an \
-       allocation that escaped into shared structure)" );
-    ( rule_pub_order,
-      "a store to snapshot-reachable state sequenced after the Atomic.set \
-       publication point; readers already holding the new generation \
-       observe the mutation" );
-    ( rule_unlocked,
-      "snapshot publication or copy-on-write successor construction not \
-       dominated by the writer mutex (lock-set aware: Mutex.lock/protect, \
-       transitive lock wrappers and callee summaries count)" );
   ]
 
 (* Minimal firing example per rule, shown by [--explain]. Each is the
@@ -146,20 +124,6 @@ let rule_examples =
       "let run () =\n\
       \  let p = Pool.create () in\n\
       \  work p; Pool.shutdown p; Pool.shutdown p  (* double shutdown *)" );
-    ( rule_cow,
-      "let with_put t i v =\n\
-      \  let data = t.data in    (* aliases the predecessor generation *)\n\
-      \  data.(i) <- v;          (* readers of the old snapshot see this *)\n\
-      \  { t with version = t.version + 1 }" );
-    ( rule_snap_escape,
-      "let scratch = Array.make 8 0\n\
-       let root g = Snapshot.make g scratch  (* module-level mutable state *)" );
-    ( rule_pub_order,
-      "Atomic.set t.current snap';\n\
-       idx.(0) <- v  (* readers may already hold snap'; write came too late *)" );
-    ( rule_unlocked,
-      "let publish t snap' = Atomic.set t.current snap'\n\
-       (* no Mutex.lock / lock wrapper dominates the store *)" );
   ]
 
 let explain out id =
@@ -579,33 +543,9 @@ let lint_paths_timed ?(enabled = fun _ -> true) ?jobs ?(pragmas = true) paths =
             timed rule_budget (fun () -> Budget_loop.findings cg)
           else []
         in
-        (* Alias & escape analysis: one summary build shared by the
-           three alias-backed rule families. *)
-        let need_alias =
-          enabled rule_cow || enabled rule_snap_escape || enabled rule_unlocked
-        in
-        let alias =
-          if need_alias then
-            Some (timed "alias-summaries" (fun () -> Alias.build cg))
-          else None
-        in
-        let alias_rule rule f =
-          match alias with
-          | Some al when enabled rule -> timed rule (fun () -> f al)
-          | _ -> []
-        in
-        let cow_findings = alias_rule rule_cow Cow_alias.findings in
-        let snap_findings = alias_rule rule_snap_escape Snap_escape.findings in
-        let unlocked_findings = alias_rule rule_unlocked Unlocked_pub.findings in
-        let pub_order_findings =
-          if enabled rule_pub_order then
-            timed rule_pub_order (fun () -> Pub_order.findings cg)
-          else []
-        in
         let all =
           per_file @ eff_findings @ exn_findings @ dead_findings
-          @ budget_findings @ cow_findings @ snap_findings
-          @ pub_order_findings @ unlocked_findings
+          @ budget_findings
         in
         let all =
           if not pragmas then all

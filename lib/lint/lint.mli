@@ -44,40 +44,12 @@
       outside its own module.
     - [budget-unchecked-loop]: a loop (or self-recursive function)
       reachable from [Engine] that calls the evaluation kernel on a
-      path that never consults [Resilience.Budget].
-
-    MVCC publication-safety rules (computed over the interprocedural
-    alias & escape summaries of {!Alias}; see DESIGN.md "Alias &
-    escape analysis"):
-
-    - [cow-aliasing]: a copy-on-write [with_*] path writes through an
-      array/hashtable/buffer it did not freshly allocate or explicitly
-      copy — the predecessor generation shares the structure. The
-      witness chain runs from the write back to the shared
-      allocation and the head of the copy-on-write path.
-    - [snapshot-mutable-escape]: a mutable value reachable from a
-      constructed [Snapshot.t] is also reachable from a caller-visible
-      root (module-level state, or an allocation that escaped into
-      shared structure before the construction).
-    - [publish-after-write]: a store to snapshot-reachable state
-      sequenced after the [Atomic.set] publication point; readers
-      already holding the new generation observe the mutation.
-    - [unlocked-publish]: snapshot publication, or copy-on-write
-      successor construction, not dominated by the writer mutex
-      (lock-set aware: [Mutex.lock]/[Mutex.protect], the transitive
-      same-file lock-wrapper closure and callee summaries count). *)
+      path that never consults [Resilience.Budget]. *)
 
 module Dataflow : module type of Dataflow
 (** The generic monotone-framework engine behind the protocol
     summaries, re-exported for the property tests: [Solve(L).solve]
-    over any {!Dataflow.LATTICE}, and [stabilise] — the bounded
-    round-until-fixpoint driver the alias summaries run on. *)
-
-module Alias : module type of Alias
-(** The interprocedural alias & escape analysis behind the MVCC
-    publication-safety rules, re-exported for the property tests:
-    the [Fresh < Shared < Published] ownership lattice and the
-    per-binding summary builder. *)
+    over any {!Dataflow.LATTICE}. *)
 
 type related = Report.related = {
   rl_file : string;

@@ -250,76 +250,6 @@ let lock_wrapper_names str =
   it.structure it str;
   !acc
 
-(* Transitive closure of [lock_wrapper_names] within one structure: a
-   function that does all its work inside [with_mutex t.lock (fun () ->
-   …)] is itself a wrapper — a closure handed to it runs under the
-   lock — even though no [Mutex.lock] appears literally in its body.
-   Wrapper-ness flows through call chains of any depth, iterated to a
-   within-file fixpoint. Same name-based matching caveat as
-   [lock_wrapper_names]. *)
-let lock_wrapper_closure str =
-  let binds = ref [] in
-  let from_vbs vbs =
-    List.iter
-      (fun vb ->
-        match pattern_vars vb.pvb_pat with
-        | [ v ] -> binds := (v, vb.pvb_expr) :: !binds
-        | _ -> ())
-      vbs
-  in
-  let it =
-    {
-      Ast_iterator.default_iterator with
-      expr =
-        (fun self e ->
-          (match e.pexp_desc with
-          | Pexp_let (_, vbs, _) -> from_vbs vbs
-          | _ -> ());
-          Ast_iterator.default_iterator.expr self e);
-      structure_item =
-        (fun self item ->
-          (match item.pstr_desc with
-          | Pstr_value (_, vbs) -> from_vbs vbs
-          | _ -> ());
-          Ast_iterator.default_iterator.structure_item self item);
-    }
-  in
-  it.structure it str;
-  let applies_one names e =
-    let found = ref false in
-    let it =
-      {
-        Ast_iterator.default_iterator with
-        expr =
-          (fun self e ->
-            (match e.pexp_desc with
-            | Pexp_apply (f, _) -> (
-                match (strip f).pexp_desc with
-                | Pexp_ident { txt; _ }
-                  when SSet.mem (Ast_util.last_comp txt) names ->
-                    found := true
-                | _ -> ())
-            | _ -> ());
-            if not !found then Ast_iterator.default_iterator.expr self e);
-      }
-    in
-    it.expr it e;
-    !found
-  in
-  let set = ref (lock_wrapper_names str) in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun (v, e) ->
-        if (not (SSet.mem v !set)) && applies_one !set e then begin
-          set := SSet.add v !set;
-          changed := true
-        end)
-      !binds
-  done;
-  !set
-
 (* ---------------------- entry ------------------------------------- *)
 
 let pool_entry_points = [ "parallel_for"; "map_array" ]

@@ -230,9 +230,6 @@ let parse_intf_locked ~file src =
 let parse_impl ~file src =
   Mutex.protect parse_lock (fun () -> parse_impl_locked ~file src)
 
-let parse_intf ~file src =
-  Mutex.protect parse_lock (fun () -> parse_intf_locked ~file src)
-
 (* Parsed-AST cache. One [load] already parses each file exactly once,
    but the driver is re-entered many times over the same tree (test
    suite, editor loops, [--baseline-write] then lint), and every entry
@@ -359,6 +356,3 @@ let lib_has_module t lib m =
   match Hashtbl.find_opt t.lib_mods lib with
   | Some mods -> List.mem m mods
   | None -> false
-
-let find_files t ~modname =
-  List.filter (fun f -> f.modname = modname) t.files

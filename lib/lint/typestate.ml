@@ -1,7 +1,7 @@
 (* Path-sensitive abstract interpretation over untyped function
    bodies.
 
-   The protocol rules (Budget_loop, Lifecycle, Pub_order) all walk an
+   The protocol rules (Budget_loop, Lifecycle) both walk an
    expression in evaluation order, carrying an abstract state that
    joins at control-flow merges. This module owns that walk once; a
    rule supplies a {!hooks} record — its lattice ([join]/[equal]) plus

@@ -227,9 +227,13 @@ let test_remove_uninvolved_object () =
         assert_index_consistent (Query_index.with_object_removed idx !victim))
 
 let test_update_sequence () =
-  (* A realistic mixed maintenance sequence stays consistent. *)
+  (* A realistic mixed maintenance sequence stays consistent. It opens
+     by moving a rival out of the prefixes it bounds, so the prefixes
+     [with_object_updated] recomputes are the parent's own. *)
   let _, idx =
     on_parent 109 (fun idx ->
+        let rival = (Query_index.candidate_rivals idx).(0) in
+        let idx = Query_index.with_object_updated idx rival [| 0.99; 0.99; 0.99 |] in
         let idx, _ = Query_index.with_object_added idx [| 0.3; 0.1; 0.5 |] in
         let idx, _ =
           Query_index.with_query_added idx (Topk.Query.make ~k:2 [| 0.5; 0.5; 0.1 |])

@@ -1396,279 +1396,41 @@ let test_jobs_deterministic_protocol () =
         [ "budget-unchecked-loop"; "handle-lifecycle" ];
       Alcotest.(check string) "--jobs 4 output byte-identical to --jobs 1" o1 o4)
 
-(* ------------------------- alias & escape rules ------------------ *)
-
-(* A copy-on-write store whose [with_put] aliases the predecessor's
-   array — the planted bug of the acceptance criterion — plus a
-   correct sibling that copies first. *)
-let cow_bad_ml =
-  "type t = { data : int array; version : int }\n\
-   let with_put t i v =\n\
-  \  let data = t.data in\n\
-  \  data.(i) <- v;\n\
-  \  { t with version = t.version + 1 }\n"
-
-let cow_good_ml =
-  "type t = { data : int array; version : int }\n\
-   let with_put t i v =\n\
-  \  let data = Array.copy t.data in\n\
-  \  data.(i) <- v;\n\
-  \  { data; version = t.version + 1 }\n"
-
-let alias_proj files = lint_project (("dune", "(library (name fixal))\n") :: files)
-
-let test_cow_fires () =
-  match by_rule "cow-aliasing" (alias_proj [ ("store.ml", cow_bad_ml) ]) with
-  | [ f ] ->
-      Alcotest.(check int) "at the aliased write" 4 f.Lint.line;
-      Alcotest.(check bool) "witness chain present" true
-        (List.length f.Lint.related >= 2);
-      Alcotest.(check bool) "witness names the aliased parameter" true
-        (List.exists
-           (fun r -> contains r.Lint.rl_note "t.data")
-           f.Lint.related)
-  | fs ->
-      Alcotest.failf "expected exactly one cow finding, got %d" (List.length fs)
-
-let test_cow_fixed_clean () =
-  Alcotest.(check int) "copy-first variant is clean" 0
-    (List.length (by_rule "cow-aliasing" (alias_proj [ ("store.ml", cow_good_ml) ])))
-
-let test_cow_pragma () =
-  let src =
-    "type t = { data : int array; version : int }\n\
-     let with_put t i v =\n\
-    \  let data = t.data in\n\
-    \  (* iqlint: allow cow-aliasing — caller guarantees sole ownership *)\n\
-    \  data.(i) <- v;\n\
-    \  { t with version = t.version + 1 }\n"
-  in
-  Alcotest.(check int) "pragma suppresses" 0
-    (List.length (by_rule "cow-aliasing" (alias_proj [ ("store.ml", src) ])))
-
-let snap_mod =
-  "module Snapshot = struct\n\
-  \  type t = { generation : int; index : int array }\n\
-  \  let make g idx = { generation = g; index = idx }\n\
-   end\n"
-
-let test_snap_escape_fires () =
-  let src = snap_mod ^ "let scratch = Array.make 8 0\nlet root g = Snapshot.make g scratch\n" in
-  match by_rule "snapshot-mutable-escape" (alias_proj [ ("snappy.ml", src) ]) with
-  | [ f ] ->
-      Alcotest.(check bool) "names the module-level root" true
-        (contains f.Lint.message "scratch");
-      Alcotest.(check bool) "witness points at the shared state" true
-        (f.Lint.related <> [])
-  | fs ->
-      Alcotest.failf "expected exactly one escape finding, got %d"
-        (List.length fs)
-
-let test_snap_escape_fixed_clean () =
-  let src = snap_mod ^ "let root g = Snapshot.make g (Array.make 8 0)\n" in
-  Alcotest.(check int) "fresh allocation is ownership transfer" 0
-    (List.length
-       (by_rule "snapshot-mutable-escape" (alias_proj [ ("snappy.ml", src) ])))
-
-let test_snap_escape_pragma () =
-  let src =
-    snap_mod
-    ^ "let scratch = Array.make 8 0\n\
-       let root g =\n\
-      \  (* iqlint: allow snapshot-mutable-escape — scratch is write-once *)\n\
-      \  Snapshot.make g scratch\n"
-  in
-  Alcotest.(check int) "pragma suppresses" 0
-    (List.length
-       (by_rule "snapshot-mutable-escape" (alias_proj [ ("snappy.ml", src) ])))
-
-let publish_prefix =
-  "type snap = { generation : int; index : int array }\n\
-   type t = { current : snap Atomic.t; lock : Mutex.t }\n"
-
-let test_unlocked_publish_fires () =
-  let src =
-    publish_prefix
-    ^ "let publish t g idx =\n\
-      \  let snap = { generation = g; index = idx } in\n\
-      \  Atomic.set t.current snap\n"
-  in
-  match by_rule "unlocked-publish" (alias_proj [ ("pub.ml", src) ]) with
-  | [ f ] ->
-      Alcotest.(check bool) "witness names the entry path" true
-        (List.exists
-           (fun r -> contains r.Lint.rl_note "publish")
-           f.Lint.related)
-  | fs ->
-      Alcotest.failf "expected exactly one unlocked publication, got %d"
-        (List.length fs)
-
-let test_unlocked_publish_locked_clean () =
-  let src =
-    publish_prefix
-    ^ "let publish t g idx =\n\
-      \  Mutex.lock t.lock;\n\
-      \  let snap = { generation = g; index = idx } in\n\
-      \  Atomic.set t.current snap;\n\
-      \  Mutex.unlock t.lock\n"
-  in
-  Alcotest.(check int) "publication under the writer lock is clean" 0
-    (List.length (by_rule "unlocked-publish" (alias_proj [ ("pub.ml", src) ])))
-
-let test_unlocked_publish_pragma () =
-  let src =
-    publish_prefix
-    ^ "let publish t g idx =\n\
-      \  let snap = { generation = g; index = idx } in\n\
-      \  (* iqlint: allow unlocked-publish — single-writer by construction *)\n\
-      \  Atomic.set t.current snap\n"
-  in
-  Alcotest.(check int) "pragma suppresses" 0
-    (List.length (by_rule "unlocked-publish" (alias_proj [ ("pub.ml", src) ])))
-
-let test_pub_order_fires () =
-  let src =
-    publish_prefix
-    ^ "let publish t g idx =\n\
-      \  Mutex.lock t.lock;\n\
-      \  let snap = { generation = g; index = idx } in\n\
-      \  Atomic.set t.current snap;\n\
-      \  idx.(0) <- 99;\n\
-      \  Mutex.unlock t.lock\n"
-  in
-  match by_rule "publish-after-write" (alias_proj [ ("pub.ml", src) ]) with
-  | [ f ] ->
-      Alcotest.(check bool) "witness points at the publication" true
-        (List.exists
-           (fun r -> contains r.Lint.rl_note "published here")
-           f.Lint.related)
-  | fs ->
-      Alcotest.failf "expected exactly one late write, got %d" (List.length fs)
-
-let test_pub_order_fixed_clean () =
-  let src =
-    publish_prefix
-    ^ "let publish t g idx =\n\
-      \  Mutex.lock t.lock;\n\
-      \  idx.(0) <- 99;\n\
-      \  let snap = { generation = g; index = idx } in\n\
-      \  Atomic.set t.current snap;\n\
-      \  Mutex.unlock t.lock\n"
-  in
-  Alcotest.(check int) "writes completed before publication are clean" 0
-    (List.length
-       (by_rule "publish-after-write" (alias_proj [ ("pub.ml", src) ])))
-
-let test_pub_order_pragma () =
-  let src =
-    publish_prefix
-    ^ "let publish t g idx =\n\
-      \  Mutex.lock t.lock;\n\
-      \  let snap = { generation = g; index = idx } in\n\
-      \  Atomic.set t.current snap;\n\
-      \  (* iqlint: allow publish-after-write — idx is writer-private *)\n\
-      \  idx.(0) <- 99;\n\
-      \  Mutex.unlock t.lock\n"
-  in
-  Alcotest.(check int) "pragma suppresses" 0
-    (List.length
-       (by_rule "publish-after-write" (alias_proj [ ("pub.ml", src) ])))
-
-(* The acceptance fixture end to end: the planted aliasing bug must
-   surface through the CLI with its full witness chain in both JSON
+(* A handle closed outside a [Fun.protect] bracket leaks on the
+   exception path; the finding's witness is the "opened here" note.
+   End to end through the CLI, the witness must surface in both JSON
    ([related]) and SARIF ([relatedLocations]). *)
+let unbracketed_close_ml =
+  "let first_line () =\n\
+  \  let ic = open_in \"x\" in\n\
+  \  let l = input_line ic in\n\
+  \  close_in ic;\n\
+  \  l\n"
+
 let test_witness_chain_json_sarif () =
   let dir =
     write_project
-      [ ("dune", "(library (name fixal))\n"); ("store.ml", cow_bad_ml) ]
-  in
-  Fun.protect
-    ~finally:(fun () -> rm_project dir)
-    (fun () ->
-      let code, json = run_main [ "--format"; "json"; dir ] in
-      Alcotest.(check int) "planted bug exits 1" 1 code;
-      Alcotest.(check bool) "JSON names the rule" true
-        (contains json "cow-aliasing");
-      Alcotest.(check bool) "JSON carries the witness chain" true
-        (contains json "\"related\"");
-      Alcotest.(check bool) "chain reaches the aliased allocation" true
-        (contains json "never copied on this path");
-      Alcotest.(check bool) "chain reaches the path head" true
-        (contains json "copy-on-write constructor");
-      let code, sarif = run_main [ "--format"; "sarif"; dir ] in
-      Alcotest.(check int) "SARIF run exits 1 too" 1 code;
-      Alcotest.(check bool) "SARIF carries relatedLocations" true
-        (contains sarif "relatedLocations"))
-
-(* Alias pipeline determinism: summaries and findings must not depend
-   on worker count. *)
-let test_jobs_deterministic_alias () =
-  let dir =
-    write_project
       [
-        ("dune", "(library (name fixal))\n");
-        ("store.ml", cow_bad_ml);
-        ( "snappy.ml",
-          snap_mod ^ "let scratch = Array.make 8 0\n\
-                      let root g = Snapshot.make g scratch\n" );
-        ( "pub.ml",
-          publish_prefix
-          ^ "let publish t g idx =\n\
-            \  let snap = { generation = g; index = idx } in\n\
-            \  Atomic.set t.current snap;\n\
-            \  idx.(0) <- 99\n" );
+        ("dune", "(library (name fixlc))\n"); ("leak.ml", unbracketed_close_ml);
       ]
   in
   Fun.protect
     ~finally:(fun () -> rm_project dir)
     (fun () ->
-      let c1, o1 = run_main [ "--jobs"; "1"; "--format"; "json"; dir ] in
-      let c4, o4 = run_main [ "--jobs"; "4"; "--format"; "json"; dir ] in
-      Alcotest.(check int) "same exit code" c1 c4;
-      List.iter
-        (fun rule ->
-          Alcotest.(check bool) (rule ^ " present") true (contains o1 rule))
-        [
-          "cow-aliasing";
-          "snapshot-mutable-escape";
-          "unlocked-publish";
-          "publish-after-write";
-        ];
-      Alcotest.(check string) "--jobs 4 output byte-identical to --jobs 1" o1 o4)
-
-(* ------------------------- ownership lattice --------------------- *)
-
-let arb_own =
-  QCheck.make
-    ~print:Lint.Alias.own_to_string
-    QCheck.Gen.(oneofl [ Lint.Alias.Fresh; Lint.Alias.Shared; Lint.Alias.Published ])
-
-let prop_own_join_commutative =
-  QCheck.Test.make ~name:"ownership join is commutative" ~count:100
-    (QCheck.pair arb_own arb_own) (fun (a, b) ->
-      Lint.Alias.own_equal (Lint.Alias.own_join a b) (Lint.Alias.own_join b a))
-
-let prop_own_join_monotone =
-  QCheck.Test.make ~name:"ownership join is monotone (a <= a v b)" ~count:100
-    (QCheck.pair arb_own arb_own) (fun (a, b) ->
-      Lint.Alias.own_leq a (Lint.Alias.own_join a b)
-      && Lint.Alias.own_leq b (Lint.Alias.own_join a b))
-
-let prop_own_join_assoc_idem =
-  QCheck.Test.make ~name:"ownership join associative and idempotent" ~count:100
-    (QCheck.triple arb_own arb_own arb_own) (fun (a, b, c) ->
-      Lint.Alias.own_equal
-        (Lint.Alias.own_join a (Lint.Alias.own_join b c))
-        (Lint.Alias.own_join (Lint.Alias.own_join a b) c)
-      && Lint.Alias.own_equal (Lint.Alias.own_join a a) a)
-
-let prop_own_escape_idempotent =
-  QCheck.Test.make ~name:"ownership escape idempotent and inflationary"
-    ~count:100 arb_own (fun a ->
-      Lint.Alias.own_equal
-        (Lint.Alias.own_escape (Lint.Alias.own_escape a))
-        (Lint.Alias.own_escape a)
-      && Lint.Alias.own_leq a (Lint.Alias.own_escape a))
+      let code, json = run_main [ "--format"; "json"; dir ] in
+      Alcotest.(check int) "leak exits 1" 1 code;
+      Alcotest.(check bool) "JSON names the rule" true
+        (contains json "handle-lifecycle");
+      Alcotest.(check bool) "JSON carries the witness chain" true
+        (contains json "\"related\"");
+      Alcotest.(check bool) "chain reaches the open" true
+        (contains json "opened here");
+      let code, sarif = run_main [ "--format"; "sarif"; dir ] in
+      Alcotest.(check int) "SARIF run exits 1 too" 1 code;
+      Alcotest.(check bool) "SARIF carries relatedLocations" true
+        (contains sarif "relatedLocations");
+      Alcotest.(check bool) "SARIF chain reaches the open" true
+        (contains sarif "opened here"))
 
 (* ------------------------- --explain ----------------------------- *)
 
@@ -1677,18 +1439,18 @@ let test_explain_flag () =
   let buf = Buffer.create 256 in
   let ppf = Format.formatter_of_buffer buf in
   Alcotest.(check bool) "Lint.explain knows the rule" true
-    (Lint.explain ppf "cow-aliasing");
+    (Lint.explain ppf "handle-lifecycle");
   Format.pp_print_flush ppf ();
   Alcotest.(check bool) "Lint.explain rejects unknown ids" false
     (Lint.explain ppf "no-such-rule");
   Alcotest.(check bool) "API output carries the rationale" true
-    (contains (Buffer.contents buf) "copy-on-write");
-  let code, text = run_main [ "--explain"; "cow-aliasing" ] in
+    (contains (Buffer.contents buf) "double close");
+  let code, text = run_main [ "--explain"; "handle-lifecycle" ] in
   Alcotest.(check int) "known rule exits 0" 0 code;
   Alcotest.(check bool) "prints a firing example" true
     (contains text "example (fires)");
   Alcotest.(check bool) "prints the suppression pragma" true
-    (contains text "iqlint: allow cow-aliasing");
+    (contains text "iqlint: allow handle-lifecycle");
   let code, _ = run_main [ "--explain"; "no-such-rule" ] in
   Alcotest.(check int) "unknown rule exits 2" 2 code;
   let code, _ = run_main [ "--explain" ] in
@@ -1708,7 +1470,9 @@ let test_explain_flag () =
 let test_parse_cache_reuse () =
   let dir =
     write_project
-      [ ("dune", "(library (name fixal))\n"); ("store.ml", cow_bad_ml) ]
+      [
+        ("dune", "(library (name fixlc))\n"); ("leak.ml", unbracketed_close_ml);
+      ]
   in
   Fun.protect
     ~finally:(fun () -> rm_project dir)
@@ -1898,37 +1662,8 @@ let suite =
       test_prune_baseline_ratchet;
     Alcotest.test_case "--jobs identical across protocol passes" `Quick
       test_jobs_deterministic_protocol;
-    Alcotest.test_case "cow-aliasing: aliased write fires with witness" `Quick
-      test_cow_fires;
-    Alcotest.test_case "cow-aliasing: copy-first variant clean" `Quick
-      test_cow_fixed_clean;
-    Alcotest.test_case "cow-aliasing: pragma suppresses" `Quick test_cow_pragma;
-    Alcotest.test_case "snapshot-mutable-escape: module-level root fires"
-      `Quick test_snap_escape_fires;
-    Alcotest.test_case "snapshot-mutable-escape: fresh allocation clean" `Quick
-      test_snap_escape_fixed_clean;
-    Alcotest.test_case "snapshot-mutable-escape: pragma suppresses" `Quick
-      test_snap_escape_pragma;
-    Alcotest.test_case "unlocked-publish: bare Atomic.set fires" `Quick
-      test_unlocked_publish_fires;
-    Alcotest.test_case "unlocked-publish: publication under lock clean" `Quick
-      test_unlocked_publish_locked_clean;
-    Alcotest.test_case "unlocked-publish: pragma suppresses" `Quick
-      test_unlocked_publish_pragma;
-    Alcotest.test_case "publish-after-write: late store fires" `Quick
-      test_pub_order_fires;
-    Alcotest.test_case "publish-after-write: writes-then-publish clean" `Quick
-      test_pub_order_fixed_clean;
-    Alcotest.test_case "publish-after-write: pragma suppresses" `Quick
-      test_pub_order_pragma;
     Alcotest.test_case "witness chain in JSON and SARIF" `Quick
       test_witness_chain_json_sarif;
-    Alcotest.test_case "--jobs identical across alias passes" `Quick
-      test_jobs_deterministic_alias;
-    QCheck_alcotest.to_alcotest prop_own_join_commutative;
-    QCheck_alcotest.to_alcotest prop_own_join_monotone;
-    QCheck_alcotest.to_alcotest prop_own_join_assoc_idem;
-    QCheck_alcotest.to_alcotest prop_own_escape_idempotent;
     Alcotest.test_case "--explain prints rationale and example" `Quick
       test_explain_flag;
     Alcotest.test_case "parse cache reuses ASTs across runs" `Quick
