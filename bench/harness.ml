@@ -4,13 +4,10 @@ let scale = Workload.Config.scale ()
 
 let scaled_int v = Int.max 1 (int_of_float (float_of_int v *. scale))
 
-(* The shared pool every bench threads into index builds and searches;
-   sized by IQ_DOMAINS (sequential bypass when that resolves to 1). *)
-let default_pool () = Parallel.default ()
-
 (* The serving facade every bench runs its searches through, on the
-   shared pool. *)
-let engine inst = Iq.Engine.create_exn ~pool:(default_pool ()) inst
+   shared pool sized by IQ_DOMAINS (sequential bypass when that
+   resolves to 1). *)
+let engine inst = Iq.Engine.create_exn ~pool:(Parallel.default ()) inst
 
 let time f =
   let t0 = Unix.gettimeofday () in
@@ -21,8 +18,6 @@ let time_only f = snd (time f)
 
 let header title =
   Printf.printf "\n=== %s ===\n" title
-
-let subheader fmt = Printf.ksprintf (fun s -> Printf.printf "--- %s ---\n" s) fmt
 
 let row cells = print_endline (String.concat "  " cells)
 
@@ -55,80 +50,3 @@ let mean xs =
   match xs with
   | [] -> nan
   | _ -> List.fold_left ( +. ) 0. xs /. float_of_int (List.length xs)
-
-(* --- machine-readable results ---------------------------------------
-
-   Benches that feed a perf trajectory (so later PRs can regress
-   against them) emit BENCH_<name>.json via [write_json]. Hand-rolled
-   serializer: no JSON dependency in the container. *)
-
-type json =
-  | Null
-  | Bool of bool
-  | Int of int
-  | Float of float
-  | String of string
-  | List of json list
-  | Obj of (string * json) list
-
-let rec buf_json buf = function
-  | Null -> Buffer.add_string buf "null"
-  | Bool b -> Buffer.add_string buf (string_of_bool b)
-  | Int i -> Buffer.add_string buf (string_of_int i)
-  | Float f ->
-      if Float.is_finite f then Buffer.add_string buf (Printf.sprintf "%.6g" f)
-      else Buffer.add_string buf "null"
-  | String s ->
-      Buffer.add_char buf '"';
-      String.iter
-        (function
-          | '"' -> Buffer.add_string buf "\\\""
-          | '\\' -> Buffer.add_string buf "\\\\"
-          | '\n' -> Buffer.add_string buf "\\n"
-          | c when Char.code c < 0x20 ->
-              Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-          | c -> Buffer.add_char buf c)
-        s;
-      Buffer.add_char buf '"'
-  | List xs ->
-      Buffer.add_char buf '[';
-      List.iteri
-        (fun i x ->
-          if i > 0 then Buffer.add_char buf ',';
-          buf_json buf x)
-        xs;
-      Buffer.add_char buf ']'
-  | Obj kvs ->
-      Buffer.add_char buf '{';
-      List.iteri
-        (fun i (k, v) ->
-          if i > 0 then Buffer.add_char buf ',';
-          buf_json buf (String k);
-          Buffer.add_char buf ':';
-          buf_json buf v)
-        kvs;
-      Buffer.add_char buf '}'
-
-let write_json ~name json =
-  let dir =
-    match Sys.getenv_opt "BENCH_JSON_DIR" with Some d -> d | None -> "."
-  in
-  let path = Filename.concat dir (Printf.sprintf "BENCH_%s.json" name) in
-  let buf = Buffer.create 1024 in
-  buf_json buf json;
-  Buffer.add_char buf '\n';
-  (* Atomic publish: write a sibling temp file, then rename over the
-     target, so a reader (or a crashed bench) never sees a truncated
-     JSON document. Same directory, so the rename cannot cross a
-     filesystem boundary. *)
-  let tmp = Filename.temp_file ~temp_dir:dir ("BENCH_" ^ name) ".tmp" in
-  (try
-     let oc = open_out tmp in
-     Fun.protect
-       ~finally:(fun () -> close_out oc)
-       (fun () -> Buffer.output_buffer oc buf);
-     Sys.rename tmp path
-   with e ->
-     (try Sys.remove tmp with Sys_error _ -> ());
-     raise e);
-  note "machine-readable results: %s" path

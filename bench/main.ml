@@ -1,9 +1,9 @@
 (* Benchmark harness entry point. With no arguments, reproduces every
    table and figure of the paper's evaluation (Section 6.3) at
-   REPRO_SCALE of the published sizes, then runs the Bechamel
-   micro-benchmarks. Pass --bench f4|f5|f6|f7|f8|f9|f10|f11|f12|f13|
-   exhaustive|ablations|parallel|hotpath|engine|resilience|mvcc|durability|micro
-   to run one. *)
+   REPRO_SCALE of the published sizes, then the domain-pool speedup
+   table and the Bechamel micro-benchmarks. Pass --bench
+   f4|f5|f6|f7|f8|f9|f10|f11|f12|f13|exhaustive|ablations|parallel|micro
+   to run one. End-to-end serving timings live in perfbench/. *)
 
 let benches =
   [
@@ -20,11 +20,6 @@ let benches =
     ("exhaustive", Figures.exhaustive);
     ("ablations", Ablations.run_all);
     ("parallel", Parallel_bench.run);
-    ("hotpath", Hotpath.run);
-    ("engine", Engine_bench.run);
-    ("resilience", Resilience_bench.run);
-    ("mvcc", Mvcc_bench.run);
-    ("durability", Durability_bench.run);
     ("micro", Micro.run);
   ]
 

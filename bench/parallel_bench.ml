@@ -5,9 +5,6 @@
    columns must return byte-identical strategies (checked here, and
    property-tested in test/test_parallel.ml).
 
-   Results also land in BENCH_parallel.json so future changes have a
-   perf trajectory to regress against.
-
    (This module is not named bench/parallel.ml: that would shadow the
    lib/parallel library module `Parallel` across the whole bench
    executable and make the pool API unreachable.) *)
@@ -132,28 +129,4 @@ let run () =
              "parallel bench: domains=2 (%.3fs) slower than domains=1 \
               (%.3fs) beyond noise — oversubscription cap regressed"
              t2 t1)
-  | _ -> ());
-  Harness.write_json ~name:"parallel"
-    (Harness.Obj
-       [
-         ("bench", Harness.String "parallel");
-         ("scale", Harness.Float Harness.scale);
-         ("n_objects", Harness.Int (Iq.Instance.n_objects inst));
-         ("n_queries", Harness.Int (Iq.Instance.n_queries inst));
-         ("tau", Harness.Int tau);
-         ("n_targets", Harness.Int n_targets);
-         ( "recommended_domains",
-           Harness.Int (Domain.recommended_domain_count ()) );
-         ( "rows",
-           Harness.List
-             (List.map
-                (fun (dc, build_s, search_s, identical) ->
-                  Harness.Obj
-                    [
-                      ("domains", Harness.Int dc);
-                      ("build_seconds", Harness.Float build_s);
-                      ("search_seconds", Harness.Float search_s);
-                      ("identical_outcomes", Harness.Bool identical);
-                    ])
-                rows) );
-       ])
+  | _ -> ())

@@ -222,10 +222,9 @@ let fresh_bstat () =
    [slock] protects the small cross-generation tables: [seen] (which
    targets were prepared at which generation — the bridge that keeps
    the pre-MVCC [cached_targets]/[stale_cached]/[repreparations]
-   stats semantics), [pins] (generation -> live session pin count)
-   and [retained] (the IQ_SNAPSHOT_KEEP ring of recently retired
-   snapshots kept reachable for late readers). Lock order is
-   snapshot-lock -> slock; [wlock] never nests inside either. *)
+   stats semantics) and [pins] (generation -> live session pin
+   count). Lock order is snapshot-lock -> slock; [wlock] never nests
+   inside either. *)
 type t = {
   pool : Parallel.pool;
   backend : backend;
@@ -237,8 +236,6 @@ type t = {
   slock : Mutex.t;
   seen : (int, int) Hashtbl.t;
   pins : (int, int) Hashtbl.t;
-  mutable retained : Snapshot.t list;
-  keep : int;
   bstats : (string, bstat) Hashtbl.t;
   last_dom : (int * int) option Atomic.t;
       (* (generation, layer_count) of the most recently built onion,
@@ -325,8 +322,6 @@ let of_index ?backend ?resilience ?prune ?generation ?pool index =
       slock = Mutex.create ();
       seen = Hashtbl.create 16;
       pins = Hashtbl.create 8;
-      retained = [];
-      keep = Workload.Config.snapshot_keep ();
       bstats;
       last_dom = Atomic.make None;
       repreps = Atomic.make 0;
@@ -345,7 +340,7 @@ let of_index ?backend ?resilience ?prune ?generation ?pool index =
       muts_since_ckpt = Atomic.make 0;
     }
 
-let create ?backend ?resilience ?prune ?generation ?depth_slack ?method_ ?pool
+let create ?backend ?resilience ?prune ?generation ?depth_slack ?pool
     inst =
   guard @@ fun () ->
   let* b = resolve_backend backend in
@@ -356,7 +351,7 @@ let create ?backend ?resilience ?prune ?generation ?depth_slack ?method_ ?pool
   let rec build tries =
     match
       Resilience.Fault.point res.fault ~site:"index.build";
-      Query_index.build ?depth_slack ?method_ ~pool inst
+      Query_index.build ?depth_slack ~pool inst
     with
     | index -> index
     | exception e when Resilience.Fault.transient_exn e && tries > 0 ->
@@ -365,8 +360,8 @@ let create ?backend ?resilience ?prune ?generation ?depth_slack ?method_ ?pool
   let index = build res.retries in
   of_index ~backend:b ~resilience:res ?prune ?generation ~pool index
 
-let create_exn ?backend ?resilience ?prune ?depth_slack ?method_ ?pool inst =
-  match create ?backend ?resilience ?prune ?depth_slack ?method_ ?pool inst with
+let create_exn ?backend ?resilience ?prune ?depth_slack ?pool inst =
+  match create ?backend ?resilience ?prune ?depth_slack ?pool inst with
   | Ok t -> t
   | Error e -> invalid_arg ("Engine.create: " ^ Error.to_string e)
 
@@ -788,7 +783,7 @@ let checkpoint_locked t j snap =
    snapshot is never touched), journal the mutation (write-ahead: a
    journal failure aborts before anything becomes visible), fold the
    outgoing generation's evaluation counts into the retired total,
-   slide the retention ring, and publish. [Atomic.set] gives release
+   and publish. [Atomic.set] gives release
    semantics: a reader that acquires the new snapshot sees every write
    that built it. After publishing, a due automatic checkpoint
    ([j_every]) runs while the lock is still held; its failure is
@@ -809,13 +804,6 @@ let mutate t ~m validate f =
       let outgoing = Snapshot.eval_total snap in
       if outgoing > 0 then
         ignore (Atomic.fetch_and_add t.retired_evals outgoing);
-      with_mutex t.slock (fun () ->
-          let rec take n = function
-            | [] -> []
-            | _ when n <= 0 -> []
-            | s :: rest -> s :: take (n - 1) rest
-          in
-          t.retained <- take t.keep (snap :: t.retained));
       Atomic.set t.current snap';
       (match Atomic.get t.journal with
       | None -> ()

@@ -23,10 +23,10 @@
     {b Serving sessions.} The [Serve.Session] layer (library [serve])
     drives multi-client serving: {!acquire_session} admits a caller
     (bounded by [IQ_MAX_SESSIONS], waiting within the caller's budget)
-    and pins the current snapshot; {!release_session} unpins it. A few
-    recently retired generations stay reachable via the
-    [IQ_SNAPSHOT_KEEP] ring; anything older is reclaimed by the GC
-    once its last session unpins it.
+    and pins the current snapshot; {!release_session} unpins it. The
+    engine keeps no retired generation of its own: once a mutation
+    publishes its successor, a generation is reclaimed by the GC as
+    soon as no session or reader holds it.
 
     {b Errors.} Entry points validate their inputs and return typed
     [result]s instead of raising — the [invalid_arg]s of the inner
@@ -173,7 +173,6 @@ val create :
   ?prune:bool ->
   ?generation:int ->
   ?depth_slack:int ->
-  ?method_:Query_index.build_method ->
   ?pool:Parallel.pool ->
   Instance.t ->
   (t, Error.t) result
@@ -207,7 +206,6 @@ val create_exn :
   ?resilience:resilience ->
   ?prune:bool ->
   ?depth_slack:int ->
-  ?method_:Query_index.build_method ->
   ?pool:Parallel.pool ->
   Instance.t ->
   t

@@ -14,20 +14,9 @@ type t = {
   hint_misses : int;
 }
 
-type build_method = Scan | Threshold_algorithm
-
-let nonnegative_weights inst =
-  Array.for_all
-    (fun (q : Topk.Query.t) ->
-      Array.for_all (fun w -> w >= 0.) q.Topk.Query.weights)
-    inst.Instance.queries
-
-let compute_prefix ?ta inst depth qi =
+let compute_prefix inst depth qi =
   let w = inst.Instance.queries.(qi).Topk.Query.weights in
-  match ta with
-  | Some ta -> Array.of_list (Topk.Ta.top_k ta ~weights:w ~k:depth)
-  | None ->
-      Array.of_list (Topk.Eval.top_k inst.Instance.features ~weights:w ~k:depth)
+  Array.of_list (Topk.Eval.top_k inst.Instance.features ~weights:w ~k:depth)
 
 (* Group queries whose prefixes coincide; also derive the rival set. *)
 let group_prefixes prefixes =
@@ -77,34 +66,24 @@ let build_rtree inst =
   in
   Rtree.bulk_load ~dim entries
 
-let build ?(depth_slack = 0) ?(method_ = Scan) ?pool inst =
+let build ?(depth_slack = 0) ?pool inst =
   let t0 = Resilience.now_ms () in
   let m = Instance.n_queries inst in
   let depth =
     Int.min (Instance.n_objects inst) (Instance.max_k inst + 1 + depth_slack)
   in
-  let ta =
-    match method_ with
-    | Scan -> None
-    | Threshold_algorithm ->
-        if not (nonnegative_weights inst) then
-          invalid_arg
-            "Query_index.build: the TA build method needs non-negative \
-             query weights";
-        Some (Topk.Ta.build inst.Instance.features)
-  in
   (* Each query's top-[depth] prefix is independent of every other
-     query's, and both build methods only read frozen structures (the
-     Instance feature array; TA's sorted per-dimension lists), so the
-     prefix computation shards across domains with no coordination. *)
+     query's, and the scan only reads the frozen Instance feature
+     array, so the prefix computation shards across domains with no
+     coordination. *)
   let prefixes =
     match pool with
-    | None -> Array.init m (compute_prefix ?ta inst depth)
+    | None -> Array.init m (compute_prefix inst depth)
     | Some pool ->
         let out = Array.make m [||] in
         Parallel.parallel_for pool ~lo:0 ~hi:m (fun qi ->
             (* each query writes its own slot *)
-            out.(qi) <- compute_prefix ?ta inst depth qi);
+            out.(qi) <- compute_prefix inst depth qi);
         out
   in
   let groups, gid_of = group_prefixes prefixes in

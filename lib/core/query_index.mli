@@ -18,29 +18,18 @@ type group = {
 
 type t
 
-type build_method =
-  | Scan  (** bounded-selection scan per query (default) *)
-  | Threshold_algorithm
-      (** Fagin TA over per-dimension sorted lists; requires
-          non-negative query weights *)
-
-val build :
-  ?depth_slack:int -> ?method_:build_method -> ?pool:Parallel.pool ->
-  Instance.t -> t
+val build : ?depth_slack:int -> ?pool:Parallel.pool -> Instance.t -> t
 (** Prefix depth is [max_k + 1 + depth_slack] (slack defaults to 0; a
     positive slack keeps signatures valid under deeper perturbations).
+    Each prefix is a bounded-selection scan over the feature rows.
 
     [pool] shards the per-query prefix computation across a
-    {!Parallel} Domain pool. {b Safe-sharing invariant:} this relies
-    on both build methods being read-only over frozen data — the Scan
-    path reads only the immutable [Instance] feature array, and the TA
-    path additionally reads TA's per-dimension sorted lists, which are
-    built once before the fan-out and never mutated by queries. Each
-    domain writes only its own queries' prefix slots, and the grouping
-    /R-tree phases that follow run sequentially on the caller. The
-    built index is byte-identical for every pool size.
-    @raise Invalid_argument when [Threshold_algorithm] is requested on a
-    workload with negative weights. *)
+    {!Parallel} Domain pool. {b Safe-sharing invariant:} the scan is
+    read-only over frozen data — it reads only the immutable
+    [Instance] feature array. Each domain writes only its own queries'
+    prefix slots, and the grouping/R-tree phases that follow run
+    sequentially on the caller. The built index is byte-identical for
+    every pool size. *)
 
 val instance : t -> Instance.t
 

@@ -37,7 +37,6 @@ let index t = t.index
 
 let instance t = Query_index.instance t.index
 
-let pruning t = t.prune
 
 let size_words t = Query_index.size_words t.index
 

@@ -51,13 +51,11 @@ val index : t -> Query_index.t
 
 val instance : t -> Instance.t
 
-val pruning : t -> bool
-
 val size_words : t -> int
 (** Approximate footprint in machine words of state {e owned} by this
     generation (the index; shared instance slabs are counted once per
     snapshot holding them — an upper bound for the pinned-memory
-    ceiling the MVCC bench gates on). *)
+    ceiling the serve suite's admission test checks). *)
 
 (** {2 Engine-internal cache protocol}
 

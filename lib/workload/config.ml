@@ -85,14 +85,6 @@ let checkpoint_every () =
       | Some n when n > 0 -> Some n
       | Some _ | None -> None)
 
-let snapshot_keep () =
-  match Sys.getenv_opt "IQ_SNAPSHOT_KEEP" with
-  | None | Some "" -> 2
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 0 -> n
-      | Some _ | None -> 2)
-
 let scaled ?scale:(s = scale ()) t =
   let scale_int min_v v =
     Int.max min_v (int_of_float (float_of_int v *. s))

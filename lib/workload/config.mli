@@ -85,13 +85,6 @@ val checkpoint_every : unit -> int option
     non-positive value) means checkpoints happen only through
     [Iq.Engine.checkpoint]. *)
 
-val snapshot_keep : unit -> int
-(** How many {e retired} engine generations the MVCC layer keeps
-    reachable beyond the current one (the [IQ_SNAPSHOT_KEEP] env var,
-    default [2], [0] disables retention). Pinned snapshots are always
-    kept alive by their sessions regardless of this knob; unpinned ones
-    older than the ring are reclaimed by the GC. *)
-
 val scaled : ?scale:float -> t -> t
 (** Scale object/query counts and tau (budget and dimension are
     scale-free). Counts are kept >= 100 (objects), >= 50 (queries). *)

@@ -307,6 +307,32 @@ let test_checkpoint_roundtrip_asc () = roundtrip_checkpoint Topk.Utility.Asc
 
 let test_checkpoint_roundtrip_desc () = roundtrip_checkpoint Topk.Utility.Desc
 
+(* The image is raw rows plus query weights, never the index: after a
+   round of mutations it stays within a small multiple of the snapshot
+   footprint (the absolute slack absorbs Marshal headers at this
+   size). A checkpoint dwarfing the snapshot means derived state
+   leaked into the format. *)
+let test_checkpoint_size_bounded () =
+  let inst = make_instance ~n:200 ~m:40 () in
+  let e = engine inst in
+  for i = 0 to 49 do
+    let id = (1 + (i * 61)) mod Instance.n_objects inst in
+    let raw = (Engine.instance e).Instance.raw.(id) in
+    ok
+      (Engine.update_object e id
+         (Array.map (fun v -> Float.min 1. (v *. 0.999)) raw))
+  done;
+  let snap = Engine.snapshot e in
+  let bytes =
+    Checkpoint.write
+      (Checkpoint.path_in (fresh_dir ()))
+      (Checkpoint.of_snapshot snap)
+  in
+  let snap_bytes = 8 * Snapshot.size_words snap in
+  if bytes > (8 * snap_bytes) + 65_536 then
+    Alcotest.failf "checkpoint is %d bytes against a ~%d-byte snapshot" bytes
+      snap_bytes
+
 let test_checkpoint_rejects_nonlinear () =
   let rng = Workload.Rng.make 5 in
   let data =
@@ -823,6 +849,8 @@ let suite =
       test_checkpoint_roundtrip_asc;
     Alcotest.test_case "checkpoint round-trips (Desc)" `Quick
       test_checkpoint_roundtrip_desc;
+    Alcotest.test_case "checkpoint image within the snapshot footprint"
+      `Quick test_checkpoint_size_bounded;
     Alcotest.test_case "checkpoint rejects non-linear utilities" `Quick
       test_checkpoint_rejects_nonlinear;
     Alcotest.test_case "checkpoint read errors are typed" `Quick

@@ -424,10 +424,44 @@ let test_size_words_shrinks_on_removal () =
   ignore (ok (Engine.add_object e [| 0.5; 0.5; 0.5 |]));
   Alcotest.(check bool) "insertion grows the snapshot" true (size () > !before)
 
+(* --- retired generations: the engine holds none of them --- *)
+
+(* Its own frame, so no register or stack slot of the caller keeps
+   the current snapshot reachable. *)
+let[@inline never] weak_current e =
+  let w = Weak.create 1 in
+  Weak.set w 0 (Some (Engine.snapshot e));
+  w
+
+let test_retired_generation_collectable () =
+  let inst = make_instance () in
+  let e = engine inst in
+  let target = 5 in
+  (* fill generation 0's evaluator cache, so a retention slip would
+     keep that alive too *)
+  ignore (ok (Engine.hits e ~target));
+  let gen0 = weak_current e in
+  let moved =
+    Array.map (fun v -> Float.max 0. (v -. 0.4)) inst.Instance.raw.(target)
+  in
+  ok (Engine.update_object e target moved);
+  Gc.full_major ();
+  Alcotest.(check bool)
+    "unpinned generation 0 reclaimed" true
+    (Option.is_none (Weak.get gen0 0));
+  (* the engine is still live (and still serving) past the collection *)
+  Alcotest.(check int) "engine serves generation 1" 1 (Engine.generation e);
+  Alcotest.(check int)
+    "hits = fresh build"
+    (ok (Engine.hits (engine (Engine.instance e)) ~target))
+    (ok (Engine.hits e ~target))
+
 let suite =
   [
     Alcotest.test_case "lifecycle: mutate, re-prepare, fresh-equal" `Quick
       test_lifecycle_reprepare;
+    Alcotest.test_case "retired unpinned generation is collectable" `Quick
+      test_retired_generation_collectable;
     Alcotest.test_case "size_words shrinks under removals" `Quick
       test_size_words_shrinks_on_removal;
     Alcotest.test_case "hits = membership count" `Quick

@@ -101,38 +101,6 @@ let test_slab_search_exact () =
     end
   done
 
-let test_ta_build_method_equivalent () =
-  (* The TA-built index must agree with the scan-built index on every
-     membership and threshold. *)
-  let inst = make_instance ~n:150 ~m:60 ~seed:91 () in
-  let scan = Query_index.build inst in
-  let ta = Query_index.build ~method_:Query_index.Threshold_algorithm inst in
-  for id = 0 to Instance.n_objects inst - 1 do
-    for q = 0 to Instance.n_queries inst - 1 do
-      if Query_index.member scan ~q id <> Query_index.member ta ~q id then
-        Alcotest.failf "TA/scan membership mismatch id=%d q=%d" id q
-    done
-  done;
-  for target = 0 to 5 do
-    for q = 0 to Instance.n_queries inst - 1 do
-      if
-        Query_index.kth_other scan ~q ~target
-        <> Query_index.kth_other ta ~q ~target
-      then Alcotest.failf "TA/scan kth mismatch t=%d q=%d" target q
-    done
-  done
-
-let test_ta_build_rejects_negative_weights () =
-  let data = [| [| 0.1; 0.2 |]; [| 0.3; 0.1 |] |] in
-  let queries = [ Topk.Query.make ~k:1 [| -0.5; 1. |] ] in
-  let inst = Instance.create ~data ~queries () in
-  Alcotest.(check bool)
-    "negative weights rejected" true
-    (try
-       ignore (Query_index.build ~method_:Query_index.Threshold_algorithm inst);
-       false
-     with Invalid_argument _ -> true)
-
 (* --- ESE vs naive (the paper's core equivalence) --- *)
 
 let ese_matches_naive ~kind ~seed () =
@@ -268,8 +236,6 @@ let suite =
     Alcotest.test_case "prefixes sorted" `Quick test_index_prefix_sorted;
     Alcotest.test_case "kth other (Eq 6 threshold)" `Quick test_kth_other;
     Alcotest.test_case "slab search exact" `Quick test_slab_search_exact;
-    Alcotest.test_case "TA build method equivalent" `Quick test_ta_build_method_equivalent;
-    Alcotest.test_case "TA build weight guard" `Quick test_ta_build_rejects_negative_weights;
     Alcotest.test_case "ESE = naive (IN)" `Quick
       (ese_matches_naive ~kind:Workload.Datagen.Independent ~seed:31);
     Alcotest.test_case "ESE = naive (CO)" `Quick

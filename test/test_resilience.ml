@@ -336,6 +336,66 @@ let test_deadline_env_knob () =
   | Ok _ -> Alcotest.fail "a 1ns deadline cannot finish"
   | Error e -> Alcotest.failf "wrong error: %s" (Engine.Error.to_string e)
 
+(* An armed budget that never trips pays real clock reads and step
+   accounting on every check, but must not change a single decision:
+   both searches return exactly what the unbudgeted call returns. *)
+let test_armed_budget_same_outcomes () =
+  let inst = make_instance () in
+  let cost = Cost.euclidean (Instance.dim inst) in
+  let e = engine inst in
+  let armed () = Budget.create ~deadline_ms:3.6e6 ~max_steps:max_int () in
+  List.iter
+    (fun target ->
+      (match
+         ( Engine.min_cost e ~cost ~target ~tau:3,
+           Engine.min_cost ~budget:(armed ()) e ~cost ~target ~tau:3 )
+       with
+      | Ok a, Ok b ->
+          Alcotest.(check bool)
+            (Printf.sprintf "min-cost target %d unchanged" target)
+            true (same_mincost a b)
+      | Error Engine.Error.Infeasible, Error Engine.Error.Infeasible -> ()
+      | _ -> Alcotest.failf "min-cost target %d changed outcome" target);
+      let a = ok (Engine.max_hit e ~cost ~target ~beta:0.5) in
+      let b = ok (Engine.max_hit ~budget:(armed ()) e ~cost ~target ~beta:0.5) in
+      Alcotest.(check bool)
+        (Printf.sprintf "max-hit target %d unchanged" target)
+        true
+        (a.Max_hit.strategy = b.Max_hit.strategy
+        && a.Max_hit.hits_after = b.Max_hit.hits_after))
+    [ 0; 20; 40; 60 ]
+
+(* The anytime curve: a step budget doubled from 1 never loses hits as
+   it grows, and the first budget that completes lands exactly on the
+   unbudgeted search's answer. *)
+let test_step_sweep_anytime_curve () =
+  let inst = make_instance () in
+  let cost = Cost.euclidean (Instance.dim inst) in
+  let e = engine inst in
+  let target = 0 and tau = 10 in
+  let full = ok (Engine.min_cost e ~cost ~target ~tau) in
+  let rec sweep steps prev degraded =
+    if steps > 1 lsl 22 then Alcotest.fail "step sweep never completed";
+    let budget = Budget.create ~max_steps:steps () in
+    match Engine.min_cost ~budget e ~cost ~target ~tau with
+    | Ok o ->
+        Alcotest.(check bool) "some budget degraded first" true (degraded > 0);
+        Alcotest.(check bool)
+          (Printf.sprintf "completion at %d steps keeps its hits" steps)
+          true (o.Min_cost.hits_after >= prev);
+        Alcotest.(check bool)
+          "completing point = unbudgeted search" true (same_mincost full o)
+    | Error (Engine.Error.Deadline_exceeded { partial = Some p; _ }) ->
+        if p.Engine.p_hits < prev then
+          Alcotest.failf "hits fell from %d to %d at %d steps" prev
+            p.Engine.p_hits steps;
+        sweep (2 * steps) p.Engine.p_hits (degraded + 1)
+    | Error err ->
+        Alcotest.failf "unexpected error at %d steps: %s" steps
+          (Engine.Error.to_string err)
+  in
+  sweep 1 min_int 0
+
 let test_multi_degrades () =
   let inst = make_instance () in
   let cost = Cost.euclidean (Instance.dim inst) in
@@ -555,6 +615,10 @@ let suite =
       test_deadline_env_knob;
     Alcotest.test_case "engine: multi-target degrades" `Quick
       test_multi_degrades;
+    Alcotest.test_case "engine: armed budget never changes outcomes" `Quick
+      test_armed_budget_same_outcomes;
+    Alcotest.test_case "engine: step sweep is a monotone anytime curve" `Quick
+      test_step_sweep_anytime_curve;
     Alcotest.test_case "mutation taxonomy matrix" `Quick
       test_mutation_taxonomy_matrix;
     QCheck_alcotest.to_alcotest prop_degraded_hits_exact;

@@ -209,7 +209,48 @@ let test_admission_ceiling () =
       Alcotest.(check int) "all slots free" 0 st.Engine.active_sessions;
       Alcotest.(check int) "nothing pinned" 0 st.Engine.pinned_snapshots;
       Alcotest.(check (option int))
-        "no oldest pin" None st.Engine.oldest_pinned)
+        "no oldest pin" None st.Engine.oldest_pinned);
+  (* Three sessions pinned across three writer mutations, at a ceiling
+     of exactly three: each keeps the generation it opened on and
+     answers from it, copy-on-write keeps every pinned snapshot near
+     the size of one index, and closing them releases every pin. *)
+  with_env "IQ_MAX_SESSIONS" "3" (fun () ->
+      let e = engine (make_instance ~n:60 ~m:30 ()) in
+      let base_words = Snapshot.size_words (Engine.snapshot e) in
+      let target = 0 in
+      let pinned = ref [] in
+      for i = 0 to 2 do
+        let sess = sok (Session.open_ ~deadline_ms:200. e) in
+        let frozen = engine (Engine.instance e) in
+        pinned := (sess, ok (Engine.hits frozen ~target)) :: !pinned;
+        let raw = (Engine.instance e).Instance.raw.(i) in
+        ok (Engine.update_object e i (Array.map (fun v -> v *. 0.99) raw))
+      done;
+      let pinned = List.rev !pinned in
+      let st = Engine.stats e in
+      Alcotest.(check int) "three generations pinned" 3
+        st.Engine.pinned_snapshots;
+      Alcotest.(check (option int))
+        "oldest pin is generation 0" (Some 0) st.Engine.oldest_pinned;
+      List.iteri
+        (fun i (sess, expected) ->
+          let snap = Session.snapshot sess in
+          Alcotest.(check int)
+            (Printf.sprintf "session %d pinned where it opened" i)
+            i (Snapshot.generation snap);
+          let words = Snapshot.size_words snap in
+          if words > (base_words * 3 / 2) + 4096 then
+            Alcotest.failf
+              "session %d pins %d words against a %d-word index" i words
+              base_words;
+          Alcotest.(check int)
+            (Printf.sprintf "session %d hits = its frozen generation" i)
+            expected
+            (sok (Session.hits sess ~target)))
+        pinned;
+      List.iter (fun (sess, _) -> Session.close sess) pinned;
+      Alcotest.(check int) "no pins after close" 0
+        (Engine.stats e).Engine.pinned_snapshots)
 
 (* --- torture oracle: concurrent mutations vs pinned searches --------- *)
 

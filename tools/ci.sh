@@ -11,11 +11,9 @@
 # crash-recovery stage (the durable suite, whose QCheck oracle kills
 # the writer at every WAL and checkpoint injection point, re-run under
 # an env-driven fault schedule), and the bench smoke
-# checks (parallel determinism + engine facade overhead + resilience
-# overhead/anytime curve + MVCC session overhead + WAL append
-# overhead, which also emit BENCH_*.json, then the end-to-end
-# benchmark's own answer checks on all three workloads). Any stage
-# failing fails the run.
+# checks (the domain-pool bench's cross-domain determinism check, then
+# the end-to-end benchmark's own answer checks on all three
+# workloads). Any stage failing fails the run.
 set -eu
 cd "$(dirname "$0")/.."
 
