@@ -8,24 +8,21 @@ type outcome = {
   steps : int;
 }
 
-let cheapest_step ~(evaluator : Evaluator.t) ~(cost : Cost.t) ~bounds ~current
-    ~s_star =
-  let m = Instance.n_queries evaluator.Evaluator.instance in
-  let best = ref None in
-  for q = 0 to m - 1 do
-    if not (evaluator.Evaluator.member ~q s_star) then
-      match evaluator.Evaluator.hit_constraint ~q ~current with
-      | None -> ()
-      | Some (a, b) -> (
-          match cost.Cost.min_step ~a ~b ~bounds with
-          | None -> ()
-          | Some step ->
-              let c = cost.Cost.eval step in
-              (match !best with
-              | Some (_, c') when c' <= c -> ()
-              | _ -> best := Some (step, c)))
-  done;
-  !best
+(* The cheapest step hitting one more query; ties go to the lowest
+   query, the last of [scan]'s descending-q order. *)
+let cheapest_step ~(evaluator : Evaluator.t) ~(cost : Cost.t) ~p0 ~total_bounds
+    s_star =
+  Candidates.scan
+    ~queries:(Instance.n_queries evaluator.Evaluator.instance)
+    ~skip:(fun q -> evaluator.Evaluator.member ~q s_star)
+    ~hit_constraint:evaluator.Evaluator.hit_constraint ~cost ~p0 ~total_bounds
+    ~s_star ()
+  |> List.fold_left
+       (fun best (step, c) ->
+         match best with
+         | Some (_, c') when c' < c -> best
+         | _ -> Some (step, c))
+       None
 
 let greedy_min_cost ?limits ?max_iterations ~(evaluator : Evaluator.t)
     ~(cost : Cost.t) ~target ~tau () =
@@ -45,9 +42,7 @@ let greedy_min_cost ?limits ?max_iterations ~(evaluator : Evaluator.t)
   let hits = ref evaluator.Evaluator.base_hits in
   let failed = ref false in
   while (not !failed) && !hits < tau && !steps < max_iterations do
-    let current = Vec.add p0 !s_star in
-    let bounds = Candidates.remaining_bounds total_bounds !s_star in
-    match cheapest_step ~evaluator ~cost ~bounds ~current ~s_star:!s_star with
+    match cheapest_step ~evaluator ~cost ~p0 ~total_bounds !s_star with
     | None -> failed := true
     | Some (step, _) ->
         incr steps;
@@ -83,9 +78,7 @@ let greedy_max_hit ?limits ?max_iterations ~(evaluator : Evaluator.t)
   let steps = ref 0 in
   let stop = ref false in
   while (not !stop) && !steps < max_iterations do
-    let current = Vec.add p0 !s_star in
-    let bounds = Candidates.remaining_bounds total_bounds !s_star in
-    match cheapest_step ~evaluator ~cost ~bounds ~current ~s_star:!s_star with
+    match cheapest_step ~evaluator ~cost ~p0 ~total_bounds !s_star with
     | Some (step, c) when !spent +. c <= beta ->
         incr steps;
         s_star := Vec.add !s_star step;

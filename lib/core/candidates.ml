@@ -67,58 +67,67 @@ let duplicates steps =
   done;
   dup
 
-let collect ?pool ?budget ?fault ~(evaluator : Evaluator.t) ~(cost : Cost.t)
-    ~bounds ~current ~s_star ~cap ?max_step_cost () =
-  let budget =
-    match budget with Some b -> b | None -> Resilience.Budget.unlimited
-  in
-  let m = Instance.n_queries evaluator.Evaluator.instance in
+(* [found] is built in descending q order and reversed once, so the
+   dedup keeps the lowest-q copy; the result is back in descending q
+   order, which a stable cost sort turns into the searches' tie order
+   (highest query first). *)
+let scan ~queries ~skip ~hit_constraint ~(cost : Cost.t) ~p0 ~total_bounds
+    ~s_star ?max_step_cost () =
+  let current = Vec.add p0 s_star in
+  let bounds = remaining_bounds total_bounds s_star in
   let found = ref [] in
-  for q = 0 to m - 1 do
-    if not (evaluator.Evaluator.member ~q s_star) then
-      match evaluator.Evaluator.hit_constraint ~q ~current with
+  for q = 0 to queries - 1 do
+    if not (skip q) then
+      match hit_constraint ~q ~current with
       | None -> ()
       | Some (a, b) -> (
           match cost.Cost.min_step ~a ~b ~bounds with
           | None -> ()
           | Some step ->
               let c = cost.Cost.eval step in
-              let within_budget =
+              let fits =
                 match max_step_cost with
                 | None -> true
                 | Some ceiling -> c <= ceiling +. 1e-12
               in
-              if within_budget then found := (step, c) :: !found)
+              if fits then found := (step, c) :: !found)
   done;
-  (* Keep the lowest-q copy of each step; [steps] ends up in reverse q
-     order, which the stable cost sort below turns into its tie order. *)
   let found = Array.of_list (List.rev !found) in
   let dup = duplicates (Array.map fst found) in
   let steps = ref [] in
   Array.iteri (fun i sc -> if not dup.(i) then steps := sc :: !steps) found;
+  !steps
+
+let cheapest ~cap by_cost steps =
   let sorted =
-    List.sort (fun (_, c1) (_, c2) -> Float.compare c1 c2) !steps
+    List.stable_sort (fun a b -> Float.compare (by_cost a) (by_cost b)) steps
   in
+  match cap with
+  | None -> sorted
+  | Some n -> List.filteri (fun i _ -> i < n) sorted
+
+let collect ?pool ?fault ~budget ~(evaluator : Evaluator.t) ~(cost : Cost.t)
+    ~p0 ~total_bounds ~s_star ~cap ?max_step_cost () =
   let capped =
-    match cap with
-    | None -> sorted
-    | Some n -> List.filteri (fun i _ -> i < n) sorted
+    scan
+      ~queries:(Instance.n_queries evaluator.Evaluator.instance)
+      ~skip:(fun q -> evaluator.Evaluator.member ~q s_star)
+      ~hit_constraint:evaluator.Evaluator.hit_constraint ~cost ~p0 ~total_bounds
+      ~s_star ?max_step_cost ()
+    |> cheapest ~cap snd
   in
   (* The expensive part: one full hit-count evaluation per candidate.
      Candidates are independent, so this is the fan-out the Parallel
      pool accelerates; the order-preserving map keeps the result (and
      hence every downstream index-based tie-break) identical to the
-     sequential path. *)
+     sequential path. Each evaluation books a budget step; once the
+     budget trips, the rest get [hits = 0] placeholders and {!iterate}
+     drops the whole batch. *)
   let evaluate (step, step_cost) =
     Resilience.Budget.step budget 1;
     let hits = evaluator.Evaluator.hit_count (Vec.add s_star step) in
     { step; step_cost; hits }
   in
-  (* Budget discipline: each evaluation books a step; once the budget
-     trips, remaining evaluations are skipped (hits = 0 placeholders).
-     The searches re-check the budget right after [collect] and
-     discard the whole list on a trip, so a partially evaluated batch
-     is never acted on. *)
   match pool with
   | None ->
       List.map
@@ -129,11 +138,58 @@ let collect ?pool ?budget ?fault ~(evaluator : Evaluator.t) ~(cost : Cost.t)
   | Some pool ->
       let stop () = not (Resilience.Budget.live budget) in
       let on_chunk =
-        match fault with
-        | None -> None
-        | Some _ ->
-            Some (fun () -> Resilience.Fault.point fault ~site:"pool.task")
+        Option.map
+          (fun _ () -> Resilience.Fault.point fault ~site:"pool.task")
+          fault
       in
       Array.to_list
         (Parallel.map_array ~stop ?on_chunk pool evaluate
            (Array.of_list capped))
+
+let ratio c =
+  if c.hits <= 0 then infinity else c.step_cost /. float_of_int c.hits
+
+(* Deterministic argmin: strict improvement only, so ties keep the
+   lowest candidate index. [collect] preserves candidate order under a
+   Parallel pool, hence parallel and sequential searches apply the
+   same step each iteration, not just an equal-score one. *)
+let best_by score = function
+  | [] -> None
+  | c :: cs ->
+      Some
+        (List.fold_left
+           (fun acc c -> if score c < score acc then c else acc)
+           c cs)
+
+type status = [ `Complete | `Degraded of Resilience.Budget.trip ]
+
+let default_iterations = function
+  | `Min_cost tau -> (4 * tau) + 16
+  | `Min_cost_multi tau -> (4 * tau) + 32
+  | `Max_hit -> 256
+
+(* The anytime discipline, owned here once: the budget is checked
+   before an iteration starts and again right after its candidate
+   batch comes back. An iteration interrupted mid-batch is dropped
+   whole, so a search's strategy only ever reflects fully evaluated,
+   fully applied steps: a degraded answer is under-achieved, never
+   wrong. *)
+let iterate ?max_iterations ?budget ?fault ~search ~pending ~collect ~decide ()
+    =
+  let budget = Option.value budget ~default:Resilience.Budget.unlimited in
+  let max_iterations =
+    Option.value max_iterations ~default:(default_iterations search)
+  in
+  let rec go i =
+    if i >= max_iterations || not (pending ()) then (i, `Complete)
+    else
+      match Resilience.Budget.check budget with
+      | Some trip -> (i, `Degraded trip)
+      | None -> (
+          Resilience.Fault.point fault ~site:"search.iteration";
+          let batch = collect budget in
+          match Resilience.Budget.check budget with
+          | Some trip -> (i + 1, `Degraded trip)
+          | None -> if decide batch then go (i + 1) else (i + 1, `Complete))
+  in
+  go 0

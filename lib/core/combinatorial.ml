@@ -1,6 +1,6 @@
 open Geom
 
-type status = [ `Complete | `Degraded of Resilience.Budget.trip ]
+type status = Candidates.status
 
 type outcome = {
   strategies : (int * Strategy.t) list;
@@ -19,13 +19,6 @@ type target_ctx = {
   mutable s_star : Vec.t;
   mutable members : bool array; (* membership under current s_star *)
   mutable spent : float;
-}
-
-type candidate = {
-  ctx : target_ctx;
-  step : Vec.t;
-  step_cost : float;
-  union_gain : int; (* change in union hit count if applied *)
 }
 
 let make_ctx index limits states (target, cost) =
@@ -92,80 +85,78 @@ let apply_step ctx step =
   ctx.members <- members;
   ctx.spent <- ctx.spent +. Cost.(ctx.cost.eval) step
 
-let collect_candidates index ctxs ~cover ~cap ~budget_left ~budget =
+(* One iteration's candidates: every target's {!Candidates.scan} over
+   the queries no target hits yet, cheapest-first with the last target
+   listed first on ties, each scored by its union gain. *)
+let collect index ctxs ~cover ~cap ?max_step_cost budget =
   let inst = Query_index.instance index in
-  let m = Instance.n_queries inst in
-  let raw = ref [] in
-  List.iter
-    (fun ctx ->
-      let current =
-        Vec.add inst.Instance.features.(ctx.target) ctx.s_star
-      in
-      let bounds = Candidates.remaining_bounds ctx.total_bounds ctx.s_star in
-      (* A bounded O(m) constraint scan per target; the budget is booked
-         once per produced candidate in the union-gain pass below, so a
-         per-probe poll here would only add overhead. *)
-      (* iqlint: allow budget-unchecked-loop *)
-      for q = 0 to m - 1 do
-        if cover.(q) = 0 then
-          match Ese.hit_constraint ctx.state ~q ~current with
-          | None -> ()
-          | Some (a, b) -> (
-              match ctx.cost.Cost.min_step ~a ~b ~bounds with
-              | None -> ()
-              | Some step ->
-                  let c = ctx.cost.Cost.eval step in
-                  let fits =
-                    match budget_left with
-                    | None -> true
-                    | Some left -> c <= left +. 1e-12
-                  in
-                  if fits then raw := (ctx, step, c) :: !raw)
-      done)
-    ctxs;
-  let sorted =
-    List.sort (fun (_, _, c1) (_, _, c2) -> Float.compare c1 c2) !raw
-  in
-  (* Dedup identical (target, step) pairs before evaluation. *)
-  let seen = Hashtbl.create 64 in
-  let dedup =
-    List.filter
-      (fun (ctx, step, _) ->
-        let key =
-          (ctx.target,
-           String.concat ","
-             (List.map (Printf.sprintf "%.12g") (Array.to_list step)))
-        in
-        if Hashtbl.mem seen key then false
-        else begin
-          Hashtbl.add seen key ();
-          true
-        end)
-      sorted
-  in
   let capped =
-    match cap with
-    | None -> dedup
-    | Some n -> List.filteri (fun i _ -> i < n) dedup
+    List.concat_map
+      (fun ctx ->
+        Candidates.scan ~queries:(Instance.n_queries inst)
+          ~skip:(fun q -> cover.(q) > 0)
+          ~hit_constraint:(Ese.hit_constraint ctx.state) ~cost:ctx.cost
+          ~p0:inst.Instance.features.(ctx.target)
+          ~total_bounds:ctx.total_bounds ~s_star:ctx.s_star ?max_step_cost ()
+        |> List.map (fun (step, c) -> (ctx, step, c)))
+      (List.rev ctxs)
+    |> Candidates.cheapest ~cap (fun (_, _, c) -> c)
   in
   (* [union_gain] walks the dirty slab per candidate — the expensive
      part, so it books budget steps and stops once tripped (gain 0
-     placeholders; the search re-checks and discards the batch). *)
+     placeholders, which {!Candidates.iterate} drops). *)
   List.map
     (fun (ctx, step, step_cost) ->
-      Resilience.Budget.step budget 1;
-      let union_gain =
-        if Resilience.Budget.live budget then union_gain ~cover ctx step
+      let hits =
+        if Resilience.Budget.live budget then begin
+          Resilience.Budget.step budget 1;
+          union_gain ~cover ctx step
+        end
         else 0
       in
-      { ctx; step; step_cost; union_gain })
+      (ctx, { Candidates.step; step_cost; hits }))
     capped
 
-let ratio c =
-  if c.union_gain <= 0 then infinity
-  else c.step_cost /. float_of_int c.union_gain
-
-let finish ctxs cover ~before ~iterations ~status =
+(* The multi-target loop of Section 5.1: apply the best cost per
+   union-hit gain until the union reaches [`Tau] or the shared budget
+   [`Beta] is spent. *)
+let search ?(limits = []) ?max_iterations ?candidate_cap ?(states = [])
+    ?budget ?fault ~index ~costs goal =
+  let m = Instance.n_queries (Query_index.instance index) in
+  let ctxs = List.map (make_ctx index limits states) costs in
+  let cover = ref (build_cover ctxs m) in
+  let before = union_count !cover in
+  let spent () = List.fold_left (fun acc ctx -> acc +. ctx.spent) 0. ctxs in
+  let left () =
+    match goal with `Tau _ -> None | `Beta beta -> Some (beta -. spent ())
+  in
+  let collect budget =
+    collect index ctxs ~cover:!cover ~cap:candidate_cap ?max_step_cost:(left ())
+      budget
+  in
+  let fits (c : Candidates.t) =
+    match left () with None -> true | Some l -> c.Candidates.step_cost <= l
+  in
+  let decide cs =
+    match Candidates.best_by (fun (_, c) -> Candidates.ratio c) cs with
+    | Some (ctx, best) when best.Candidates.hits > 0 && fits best ->
+        apply_step ctx best.Candidates.step;
+        cover := build_cover ctxs m;
+        true
+    | _ -> false
+  in
+  let pending () =
+    match goal with
+    | `Tau tau -> union_count !cover < tau
+    | `Beta beta -> spent () < beta
+  in
+  let search =
+    match goal with `Tau tau -> `Min_cost_multi tau | `Beta _ -> `Max_hit
+  in
+  let iterations, status =
+    Candidates.iterate ?max_iterations ?budget ?fault ~search ~pending ~collect
+      ~decide ()
+  in
   {
     strategies = List.map (fun ctx -> (ctx.target, ctx.s_star)) ctxs;
     total_cost =
@@ -173,127 +164,24 @@ let finish ctxs cover ~before ~iterations ~status =
         (fun acc ctx -> acc +. ctx.cost.Cost.eval ctx.s_star)
         0. ctxs;
     union_hits_before = before;
-    union_hits_after = union_count cover;
+    union_hits_after = union_count !cover;
     iterations;
     status;
   }
 
-let resolve_budget = function
-  | Some b -> b
-  | None -> Resilience.Budget.unlimited
-
-let min_cost ?(limits = []) ?max_iterations ?candidate_cap ?(states = [])
-    ?budget ?fault ~index ~costs ~tau () =
+let min_cost ?limits ?max_iterations ?candidate_cap ?states ?budget ?fault
+    ~index ~costs ~tau () =
   if costs = [] then invalid_arg "Combinatorial.min_cost: no targets";
-  let budget = resolve_budget budget in
-  let inst = Query_index.instance index in
-  let m = Instance.n_queries inst in
-  let max_iterations =
-    match max_iterations with Some n -> n | None -> (4 * tau) + 32
+  let o =
+    search ?limits ?max_iterations ?candidate_cap ?states ?budget ?fault ~index
+      ~costs (`Tau tau)
   in
-  let ctxs = List.map (make_ctx index limits states) costs in
-  let cover = ref (build_cover ctxs m) in
-  let before = union_count !cover in
-  let iterations = ref 0 in
-  let failed = ref false in
-  let degraded = ref None in
-  while
-    Option.is_none !degraded
-    && (not !failed)
-    && union_count !cover < tau
-    && !iterations < max_iterations
-  do
-    (* Same anytime discipline as the single-target searches: an
-       iteration interrupted mid-collection is discarded whole, so
-       per-target strategies and the union count stay exact. *)
-    match Resilience.Budget.check budget with
-    | Some trip -> degraded := Some trip
-    | None -> (
-        Resilience.Fault.point fault ~site:"search.iteration";
-        incr iterations;
-        let candidates =
-          collect_candidates index ctxs ~cover:!cover ~cap:candidate_cap
-            ~budget_left:None ~budget
-        in
-        match Resilience.Budget.check budget with
-        | Some trip -> degraded := Some trip
-        | None -> (
-            match candidates with
-            | [] -> failed := true
-            | c :: cs ->
-                let best =
-                  List.fold_left
-                    (fun acc cand ->
-                      if ratio cand < ratio acc then cand else acc)
-                    c cs
-                in
-                if best.union_gain <= 0 then failed := true
-                else begin
-                  apply_step best.ctx best.step;
-                  cover := build_cover ctxs m
-                end))
-  done;
-  match !degraded with
-  | Some trip ->
-      Some
-        (finish ctxs !cover ~before ~iterations:!iterations
-           ~status:(`Degraded trip))
-  | None ->
-      if union_count !cover < tau then None
-      else Some (finish ctxs !cover ~before ~iterations:!iterations ~status:`Complete)
+  match o.status with
+  | `Complete when o.union_hits_after < tau -> None
+  | _ -> Some o
 
-let max_hit ?(limits = []) ?max_iterations ?candidate_cap ?(states = [])
-    ?budget ?fault ~index ~costs ~beta () =
+let max_hit ?limits ?max_iterations ?candidate_cap ?states ?budget ?fault
+    ~index ~costs ~beta () =
   if costs = [] then invalid_arg "Combinatorial.max_hit: no targets";
-  let budget = resolve_budget budget in
-  let inst = Query_index.instance index in
-  let m = Instance.n_queries inst in
-  let max_iterations =
-    match max_iterations with Some n -> n | None -> 256
-  in
-  let ctxs = List.map (make_ctx index limits states) costs in
-  let cover = ref (build_cover ctxs m) in
-  let before = union_count !cover in
-  let spent () = List.fold_left (fun acc ctx -> acc +. ctx.spent) 0. ctxs in
-  let iterations = ref 0 in
-  let stop = ref false in
-  let degraded = ref None in
-  while
-    Option.is_none !degraded
-    && (not !stop)
-    && !iterations < max_iterations
-    && spent () < beta
-  do
-    match Resilience.Budget.check budget with
-    | Some trip -> degraded := Some trip
-    | None -> (
-        Resilience.Fault.point fault ~site:"search.iteration";
-        incr iterations;
-        let budget_left = beta -. spent () in
-        let candidates =
-          collect_candidates index ctxs ~cover:!cover ~cap:candidate_cap
-            ~budget_left:(Some budget_left) ~budget
-        in
-        match Resilience.Budget.check budget with
-        | Some trip -> degraded := Some trip
-        | None -> (
-            match candidates with
-            | [] -> stop := true
-            | c :: cs ->
-                let best =
-                  List.fold_left
-                    (fun acc cand ->
-                      if ratio cand < ratio acc then cand else acc)
-                    c cs
-                in
-                if best.union_gain <= 0 || best.step_cost > budget_left then
-                  stop := true
-                else begin
-                  apply_step best.ctx best.step;
-                  cover := build_cover ctxs m
-                end))
-  done;
-  let status =
-    match !degraded with Some trip -> `Degraded trip | None -> `Complete
-  in
-  finish ctxs !cover ~before ~iterations:!iterations ~status
+  search ?limits ?max_iterations ?candidate_cap ?states ?budget ?fault ~index
+    ~costs (`Beta beta)

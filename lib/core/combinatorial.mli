@@ -4,10 +4,15 @@
     of queries hit by the improved targets to reach [tau] at minimal
     total cost; Max-Hit maximizes that union within a shared budget.
     A query hit by several targets counts once. Each target may carry
-    its own cost function. The search is the multi-target variant of
-    the greedy ratio loop (steps 1–3 in Section 5.1). *)
+    its own cost function. The search is the greedy ratio loop of
+    Algorithms 3 and 4 ({!Candidates.iterate}) over union hits
+    (steps 1–3 in Section 5.1): each iteration scans every target's
+    steps for the queries no target hits yet ({!Candidates.scan}),
+    scores each by its union-hit gain, and applies the best cost per
+    gain. Equal-cost candidates list the last target first, then the
+    highest query. *)
 
-type status = [ `Complete | `Degraded of Resilience.Budget.trip ]
+type status = Candidates.status
 (** As in {!Min_cost.status}: degraded outcomes carry the exact union
     count of the strategies actually applied. *)
 
@@ -36,14 +41,14 @@ val min_cost :
 (** [costs] maps each target id to its cost function (the target set is
     its domain). [states] supplies pre-built {!Ese} states per target
     (e.g. from {!Engine}'s cache); targets without one prepare their
-    own. [None] when [tau] union hits are unreachable; a [tau] the
-    union already meets — including [tau <= 0] — is trivially
-    satisfied with zero strategies.
+    own. [None] when [tau] union hits are unreachable (no candidate
+    gains, or the iteration cap — default [4*tau + 32] — is hit); a
+    [tau] the union already meets — including [tau <= 0] — is
+    trivially satisfied with zero strategies.
     [budget]/[fault] behave as in {!Min_cost.search}: a trip ends the
     search with [status = `Degraded _] and the strategies applied so
-    far (the fault sites here are [search.iteration] and the
-    per-candidate step accounting — the multi-target candidate scan is
-    sequential, so there is no [pool.task] site).
+    far. Each union-gain evaluation books one budget step; the scan is
+    sequential, so [search.iteration] is the only fault site.
     @raise Invalid_argument when [costs] is empty. *)
 
 val max_hit :
@@ -59,4 +64,5 @@ val max_hit :
   unit ->
   outcome
 (** Shared budget [beta] across all targets; [states] as in
-    {!min_cost}. *)
+    {!min_cost}. Stops when no candidate fits what is left or gains,
+    or after [max_iterations] iterations, default [256]. *)

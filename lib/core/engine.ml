@@ -607,26 +607,38 @@ let resolve_budget ?deadline_ms ?budget () =
       | Some ms -> Resilience.Budget.create ~deadline_ms:ms ()
       | None -> Resilience.Budget.unlimited)
 
-(* Convert a degraded search outcome into the typed anytime error,
+(* A search outcome as an engine result: [Ok o] when complete; when
+   degraded, the typed anytime error carrying the partial answer,
    bumping the engine's trip counters. A [Steps] trip is reported as
    [Deadline_exceeded] too — both mean "the request's budget ran out";
    the elapsed time is measured from the budget either way. *)
-let degraded_error t budget trip partial =
-  match (trip : Resilience.Budget.trip) with
-  | Resilience.Budget.Cancelled ->
-      Atomic.incr t.cancellations;
-      Error (Error.Cancelled { partial = Some partial })
-  | Resilience.Budget.Deadline { elapsed_ms } ->
-      Atomic.incr t.deadline_trips;
-      Error (Error.Deadline_exceeded { elapsed_ms; partial = Some partial })
-  | Resilience.Budget.Steps _ ->
-      Atomic.incr t.deadline_trips;
-      Error
-        (Error.Deadline_exceeded
-           {
-             elapsed_ms = Resilience.Budget.elapsed_ms budget;
-             partial = Some partial;
-           })
+let settle t budget (status : Candidates.status) ~strategies ~hits ~total_cost
+    ~iterations o =
+  match status with
+  | `Complete -> Ok o
+  | `Degraded trip -> (
+      let partial =
+        Some
+          {
+            p_strategies = strategies;
+            p_hits = hits;
+            p_total_cost = total_cost;
+            p_iterations = iterations;
+            p_flag = `Degraded;
+          }
+      in
+      match trip with
+      | Resilience.Budget.Cancelled ->
+          Atomic.incr t.cancellations;
+          Error (Error.Cancelled { partial })
+      | Resilience.Budget.Deadline { elapsed_ms } ->
+          Atomic.incr t.deadline_trips;
+          Error (Error.Deadline_exceeded { elapsed_ms; partial })
+      | Resilience.Budget.Steps _ ->
+          Atomic.incr t.deadline_trips;
+          Error
+            (Error.Deadline_exceeded
+               { elapsed_ms = Resilience.Budget.elapsed_ms budget; partial }))
 
 let min_cost ?limits ?max_iterations ?candidate_cap ?deadline_ms ?budget ?snap
     t ~cost ~target ~tau =
@@ -652,17 +664,10 @@ let min_cost ?limits ?max_iterations ?candidate_cap ?deadline_ms ?budget ?snap
           let o =
             { o with Min_cost.evaluations = o.Min_cost.evaluations - before }
           in
-          match o.Min_cost.status with
-          | `Complete -> Ok o
-          | `Degraded trip ->
-              degraded_error t budget trip
-                {
-                  p_strategies = [ (target, o.Min_cost.strategy) ];
-                  p_hits = o.Min_cost.hits_after;
-                  p_total_cost = o.Min_cost.total_cost;
-                  p_iterations = o.Min_cost.iterations;
-                  p_flag = `Degraded;
-                }))
+          settle t budget o.Min_cost.status
+            ~strategies:[ (target, o.Min_cost.strategy) ]
+            ~hits:o.Min_cost.hits_after ~total_cost:o.Min_cost.total_cost
+            ~iterations:o.Min_cost.iterations o))
 
 let max_hit ?limits ?max_iterations ?candidate_cap ?deadline_ms ?budget ?snap t
     ~cost ~target ~beta =
@@ -686,17 +691,10 @@ let max_hit ?limits ?max_iterations ?candidate_cap ?deadline_ms ?budget ?snap t
         let o =
           { o with Max_hit.evaluations = o.Max_hit.evaluations - before }
         in
-        match o.Max_hit.status with
-        | `Complete -> Ok o
-        | `Degraded trip ->
-            degraded_error t budget trip
-              {
-                p_strategies = [ (target, o.Max_hit.strategy) ];
-                p_hits = o.Max_hit.hits_after;
-                p_total_cost = o.Max_hit.total_cost;
-                p_iterations = o.Max_hit.iterations;
-                p_flag = `Degraded;
-              })
+        settle t budget o.Max_hit.status
+          ~strategies:[ (target, o.Max_hit.strategy) ]
+          ~hits:o.Max_hit.hits_after ~total_cost:o.Max_hit.total_cost
+          ~iterations:o.Max_hit.iterations o)
 
 let check_costs snap costs =
   if costs = [] then Error Error.Empty_targets
@@ -717,14 +715,11 @@ let cached_states t snap costs =
       | None -> None)
     costs
 
-let multi_partial o =
-  {
-    p_strategies = o.Combinatorial.strategies;
-    p_hits = o.Combinatorial.union_hits_after;
-    p_total_cost = o.Combinatorial.total_cost;
-    p_iterations = o.Combinatorial.iterations;
-    p_flag = `Degraded;
-  }
+let settle_multi t budget o =
+  settle t budget o.Combinatorial.status ~strategies:o.Combinatorial.strategies
+    ~hits:o.Combinatorial.union_hits_after
+    ~total_cost:o.Combinatorial.total_cost
+    ~iterations:o.Combinatorial.iterations o
 
 (* The multi-target searches thread budget and faults through
    {!Combinatorial} but have no per-eval failover: their candidate
@@ -742,10 +737,7 @@ let min_cost_multi ?limits ?max_iterations ?candidate_cap ?deadline_ms ?budget
       ~budget ?fault:t.res.fault ~index:(Snapshot.index snap) ~costs ~tau ()
   with
   | None -> Error Error.Infeasible
-  | Some o -> (
-      match o.Combinatorial.status with
-      | `Complete -> Ok o
-      | `Degraded trip -> degraded_error t budget trip (multi_partial o))
+  | Some o -> settle_multi t budget o
 
 let max_hit_multi ?limits ?max_iterations ?candidate_cap ?deadline_ms ?budget
     ?snap t ~costs ~beta =
@@ -760,9 +752,7 @@ let max_hit_multi ?limits ?max_iterations ?candidate_cap ?deadline_ms ?budget
       Combinatorial.max_hit ?limits ?max_iterations ?candidate_cap ~states
         ~budget ?fault:t.res.fault ~index:(Snapshot.index snap) ~costs ~beta ()
     in
-    match o.Combinatorial.status with
-    | `Complete -> Ok o
-    | `Degraded trip -> degraded_error t budget trip (multi_partial o)
+    settle_multi t budget o
 
 (* {2 Dataset maintenance} *)
 

@@ -1,12 +1,13 @@
 (** Max-Hit Improvement Query — Algorithm 4.
 
-    Same greedy cost-per-hit search as Algorithm 3, but driven by a
-    budget [beta]: apply best-ratio steps while they fit; once the best
-    ratio no longer fits, sweep the remaining candidates cheapest-first
-    and apply any that still fit, then stop. Budget accounting uses the
+    Same greedy cost-per-hit loop as Algorithm 3 ({!Candidates.iterate}),
+    but driven by a budget [beta]: only candidates that fit what is
+    left are collected; apply best-ratio steps while they fit; once the
+    best ratio no longer fits, sweep the candidates cheapest-first and
+    apply any that still fit, then stop. Budget accounting uses the
     per-step (incremental) costs, as the paper's pseudocode does. *)
 
-type status = [ `Complete | `Degraded of Resilience.Budget.trip ]
+type status = Candidates.status
 (** As in {!Min_cost.status}: a degraded outcome is the anytime
     answer, exact but possibly short of what a full run would buy. *)
 
@@ -35,7 +36,9 @@ val search :
   unit ->
   outcome
 (** Always returns: a budget that buys nothing — including [beta <= 0]
-    — yields the zero strategy with nothing spent. Budget validation
+    — yields the zero strategy with nothing spent. The search also
+    stops after [max_iterations] iterations, default [256] (see
+    {!Candidates.iterate}), even with budget left. Budget validation
     lives in {!Engine}, which reports a typed [Budget_exhausted] error
     for negative budgets instead of raising.
     [pool] parallelizes each iteration's candidate evaluations with
@@ -46,5 +49,3 @@ val search :
     [status = `Degraded _].
     @raise Invalid_argument when the cost arity differs from the
     instance's feature dimension (a wiring bug, not an input error). *)
-
-val per_hit_cost : outcome -> float

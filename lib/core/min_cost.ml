@@ -1,6 +1,6 @@
 open Geom
 
-type status = [ `Complete | `Degraded of Resilience.Budget.trip ]
+type status = Candidates.status
 
 type outcome = {
   strategy : Strategy.t;
@@ -13,115 +13,67 @@ type outcome = {
   status : status;
 }
 
-let ratio (c : Candidates.t) =
-  if c.Candidates.hits <= 0 then infinity
-  else c.Candidates.step_cost /. float_of_int c.Candidates.hits
-
-(* Deterministic argmin: strict improvement only, so ties keep the
-   lowest candidate index. Candidates.collect preserves candidate
-   order under a Parallel pool, hence parallel and sequential searches
-   apply the *same* step each iteration — not just an equal-score
-   one — and return identical strategies. *)
-let best_by score = function
-  | [] -> invalid_arg "Min_cost.best_by: no candidates"
-  | c :: cs ->
-      List.fold_left (fun acc c -> if score c < score acc then c else acc) c cs
-
 let search ?limits ?max_iterations ?candidate_cap ?pool ?budget ?fault
     ~(evaluator : Evaluator.t) ~(cost : Cost.t) ~target ~tau () =
   let inst = evaluator.Evaluator.instance in
   let d = Instance.dim inst in
   if cost.Cost.dim <> d then invalid_arg "Min_cost.search: cost arity";
-  let budget =
-    match budget with Some b -> b | None -> Resilience.Budget.unlimited
-  in
   let limits =
     match limits with Some l -> l | None -> Strategy.unrestricted d
-  in
-  let max_iterations =
-    match max_iterations with Some n -> n | None -> (4 * tau) + 16
   in
   let p0 = inst.Instance.features.(target) in
   let total_bounds = Strategy.bounds_for limits ~p:p0 in
   let s_star = ref (Strategy.zero d) in
   let spent = ref 0. in
   let hits = ref evaluator.Evaluator.base_hits in
-  let iterations = ref 0 in
-  let finished = ref (!hits >= tau) in
-  let failed = ref false in
-  let degraded = ref None in
-  while
-    Option.is_none !degraded
-    && (not !finished)
-    && (not !failed)
-    && !iterations < max_iterations
-  do
-    (* Anytime discipline: the budget is checked before starting an
-       iteration and again right after the candidate batch comes back.
-       An iteration interrupted mid-batch is discarded whole — the
-       strategy only ever reflects fully evaluated, fully applied
-       steps, so a degraded answer is under-achieved, never wrong. *)
-    match Resilience.Budget.check budget with
-    | Some trip -> degraded := Some trip
-    | None -> (
-        Resilience.Fault.point fault ~site:"search.iteration";
-        incr iterations;
-        let current = Vec.add p0 !s_star in
-        let bounds = Candidates.remaining_bounds total_bounds !s_star in
-        let candidates =
-          Candidates.collect ?pool ~budget ?fault ~evaluator ~cost ~bounds
-            ~current ~s_star:!s_star ~cap:candidate_cap ()
-        in
-        Log.debug (fun m ->
-            m "min-cost iteration %d: %d candidates, H=%d/%d" !iterations
-              (List.length candidates) !hits tau);
-        match Resilience.Budget.check budget with
-        | Some trip -> degraded := Some trip
-        | None -> (
-            match candidates with
-            | [] -> failed := true
-            | cs -> (
-                let best = best_by ratio cs in
-                if best.Candidates.hits <= tau then begin
-                  s_star := Vec.add !s_star best.Candidates.step;
-                  spent := !spent +. best.Candidates.step_cost;
-                  hits := best.Candidates.hits;
-                  if !hits >= tau then finished := true
-                end
-                else begin
-                  (* Overshoot: apply the cheapest candidate reaching
-                     tau. *)
-                  let reaching =
-                    List.filter (fun c -> c.Candidates.hits >= tau) cs
-                  in
-                  match reaching with
-                  | [] -> failed := true
-                  | _ :: _ ->
-                      let cheapest =
-                        best_by (fun c -> c.Candidates.step_cost) reaching
-                      in
-                      s_star := Vec.add !s_star cheapest.Candidates.step;
-                      spent := !spent +. cheapest.Candidates.step_cost;
-                      hits := cheapest.Candidates.hits;
-                      finished := true
-                end)))
-  done;
-  let outcome status =
-    Some
-      {
-        strategy = !s_star;
-        total_cost = cost.Cost.eval !s_star;
-        incremental_cost = !spent;
-        hits_before = evaluator.Evaluator.base_hits;
-        hits_after = !hits;
-        iterations = !iterations;
-        evaluations = evaluator.Evaluator.evaluations ();
-        status;
-      }
+  let apply (c : Candidates.t) =
+    s_star := Vec.add !s_star c.Candidates.step;
+    spent := !spent +. c.Candidates.step_cost;
+    hits := c.Candidates.hits
   in
-  match !degraded with
-  | Some trip -> outcome (`Degraded trip)
-  | None -> if not !finished then None else outcome `Complete
+  let collect budget =
+    Candidates.collect ?pool ?fault ~budget ~evaluator ~cost ~p0 ~total_bounds
+      ~s_star:!s_star ~cap:candidate_cap ()
+  in
+  let decide cs =
+    Log.debug (fun m ->
+        m "min-cost: %d candidates, H=%d/%d" (List.length cs) !hits tau);
+    match Candidates.best_by Candidates.ratio cs with
+    | None -> false
+    | Some best when best.Candidates.hits <= tau ->
+        apply best;
+        true
+    | Some _ -> (
+        (* Overshoot: apply the cheapest candidate reaching tau. *)
+        match
+          Candidates.best_by
+            (fun c -> c.Candidates.step_cost)
+            (List.filter (fun c -> c.Candidates.hits >= tau) cs)
+        with
+        | None -> false
+        | Some cheapest ->
+            apply cheapest;
+            false)
+  in
+  let iterations, status =
+    Candidates.iterate ?max_iterations ?budget ?fault ~search:(`Min_cost tau)
+      ~pending:(fun () -> !hits < tau)
+      ~collect ~decide ()
+  in
+  match status with
+  | `Complete when !hits < tau -> None
+  | _ ->
+      Some
+        {
+          strategy = !s_star;
+          total_cost = cost.Cost.eval !s_star;
+          incremental_cost = !spent;
+          hits_before = evaluator.Evaluator.base_hits;
+          hits_after = !hits;
+          iterations;
+          evaluations = evaluator.Evaluator.evaluations ();
+          status;
+        }
 
 let per_hit_cost o =
   if o.hits_after <= 0 then infinity

@@ -8,11 +8,9 @@
     [tau] queries are hit — switching to the cheapest
     [tau]-reaching candidate when the ratio choice would overshoot. *)
 
-type status = [ `Complete | `Degraded of Resilience.Budget.trip ]
-(** [`Degraded trip]: the budget tripped mid-search and the outcome is
-    the anytime answer — the best strategy accumulated from fully
-    evaluated iterations, with exact (never over-reported) hit counts;
-    it just may not reach the goal. *)
+type status = Candidates.status
+(** [`Complete], or [`Degraded trip]: the budget tripped and the
+    outcome is the anytime answer (see {!Candidates.status}). *)
 
 type outcome = {
   strategy : Strategy.t;  (** the accumulated strategy [s], feature space *)
@@ -39,7 +37,8 @@ val search :
   unit ->
   outcome option
 (** [None] when [tau] hits are unreachable (no feasible candidate
-    remains or the iteration cap — default [4*tau + 16] — is hit).
+    remains or the iteration cap — default [4*tau + 16], see
+    {!Candidates.iterate} — is hit).
     A [tau] the target already meets — including [tau <= 0] — is
     trivially satisfied: the zero strategy comes back after zero
     iterations. Goal validation lives in {!Engine}, which reports
@@ -54,10 +53,11 @@ val search :
     [budget] (default {!Resilience.Budget.unlimited}) is checked at
     iteration boundaries and inside candidate evaluation; a trip ends
     the search with [status = `Degraded _] — the iteration in flight
-    is discarded whole, so the partial strategy's hit count is exact.
-    [fault] consults the [search.iteration] site each iteration and
-    threads into {!Candidates.collect}; injected exceptions escape to
-    the caller ({!Engine} converts them to retries/fallbacks).
+    is discarded whole ({!Candidates.iterate}), so the partial
+    strategy's hit count is exact. [fault] consults the
+    [search.iteration] site each iteration and threads into
+    {!Candidates.collect}; injected exceptions escape to the caller
+    ({!Engine} converts them to retries/fallbacks).
     @raise Invalid_argument when the cost arity differs from the
     instance's feature dimension (a wiring bug, not an input error). *)
 

@@ -79,10 +79,6 @@ type t = {
   cg_fns : fn list;
   cg_exports : export list;
   cg_by_node : (node, fn list) Hashtbl.t;
-  cg_names : (string, mod_names) Hashtbl.t;
-      (** pass-1 per-module name tables, kept so [resolver_of] (and
-          every whole-program rule behind it) reuses them instead of
-          re-deriving them per rule family *)
 }
 
 let fns_of t node = Option.value (Hashtbl.find_opt t.cg_by_node node) ~default:[]
@@ -900,94 +896,4 @@ let build ~pool (proj : Project.t) =
     cg_fns = fns;
     cg_exports = exports;
     cg_by_node = by_node;
-    cg_names = names;
   }
-
-(* ---------------------- standalone resolution --------------------- *)
-
-(* The whole-program analysis Budget_loop re-walks function bodies
-   itself but still needs to know what a [Longident] means
-   project-wide. [make_resolver] packages the pass-1 name tables into
-   a per-file resolver using the file's structure-level opens and
-   module aliases (a value mentioned before the [open] that would make
-   it visible resolves the same way — an acceptable over-approximation
-   that avoids threading positional scope through clients). *)
-
-type resolution =
-  | RNodes of node list  (** project value(s) *)
-  | RExt of string  (** external path, e.g. ["Hashtbl.add"] *)
-  | ROther  (** locally bound / unresolvable *)
-
-let resolver_with names (proj : Project.t) =
-  fun (file : Project.file) ->
-    let fctx =
-      {
-        proj;
-        file;
-        names;
-        own =
-          Option.value
-            (Hashtbl.find_opt names file.Project.modname)
-            ~default:no_names;
-        fns = [];
-        init_count = 0;
-      }
-    in
-    let base =
-      ref
-        {
-          vals = SSet.empty;
-          mods = SMap.empty;
-          opens = [];
-          handled = [];
-          in_pool = false;
-          protected = false;
-          usage_only = false;
-          seq_vals = SSet.empty;
-        }
-    in
-    (match file.Project.str with
-    | Some items ->
-        List.iter
-          (fun item ->
-            match item.pstr_desc with
-            | Pstr_open od -> (
-                match od.popen_expr.pmod_desc with
-                | Pmod_ident { txt; _ } -> (
-                    match open_of_lid fctx !base txt with
-                    | Some os -> base := { !base with opens = os @ !base.opens }
-                    | None -> ())
-                | _ -> ())
-            | Pstr_module
-                { pmb_name = { txt = Some n; _ };
-                  pmb_expr = { pmod_desc = Pmod_ident { txt; _ }; _ };
-                  _
-                } ->
-                base :=
-                  { !base with
-                    mods = SMap.add n (APath (Ast_util.lid_comps txt)) !base.mods
-                  }
-            | _ -> ())
-          items
-    | None -> ());
-    let scope = !base in
-    fun lid ->
-      match resolve_value fctx scope lid with
-      | VLocal | VUnknown -> ROther
-      | VNodes ns -> RNodes ns
-      | VExt p -> RExt p
-
-let make_resolver (proj : Project.t) =
-  let names = Hashtbl.create 64 in
-  List.iter
-    (fun f ->
-      if f.Project.kind = Project.Impl then
-        Hashtbl.replace names f.Project.modname (module_names f))
-    proj.Project.files;
-  resolver_with names proj
-
-(* The cheap entry point: every rule family that already has the built
-   callgraph shares its pass-1 name tables instead of re-deriving them
-   (which used to cost a full [module_names] walk of every module per
-   family). *)
-let resolver_of (cg : t) = resolver_with cg.cg_names cg.cg_project

@@ -19,11 +19,6 @@
 open Parsetree
 open Longident
 
-(* Re-exported so the QCheck properties can drive the solver on random
-   lattices without the test depending on the library's internal
-   module layout. *)
-module Dataflow = Dataflow
-
 type related = Report.related = {
   rl_file : string;
   rl_line : int;
@@ -58,7 +53,6 @@ let rule_parse_error = "parse-error"
 let rule_domain_call = "domain-unsafe-call"
 let rule_engine_boundary = "engine-boundary-raise"
 let rule_dead_export = "dead-export"
-let rule_budget = Budget_loop.rule_id
 let rule_lifecycle = Lifecycle.rule_id
 
 let all_rules =
@@ -84,9 +78,6 @@ let all_rules =
        returning an Error.t result (values named *_exn are exempt)" );
     ( rule_dead_export,
       ".mli value of a dune library never referenced outside its own module" );
-    ( rule_budget,
-      "loop (or self-recursion) reachable from Engine that calls the \
-       evaluation kernel without consulting Resilience.Budget on some path" );
     ( rule_lifecycle,
       "pool/channel lifecycle: use after close/shutdown, double close, \
        handle never closed, or a non-bracketed close that leaks on the \
@@ -117,9 +108,6 @@ let rule_examples =
     ( rule_dead_export,
       "(* foo.mli *) val helper : unit -> int\n\
        (* no module outside Foo ever references Foo.helper *)" );
-    ( rule_budget,
-      "let rec drain t = eval_next t; drain t\n\
-       (* reachable from Engine, no Resilience.Budget check on the loop *)" );
     ( rule_lifecycle,
       "let run () =\n\
       \  let p = Pool.create () in\n\
@@ -538,15 +526,7 @@ let lint_paths_timed ?(enabled = fun _ -> true) ?jobs ?(pragmas = true) paths =
             timed "dead-export" (fun () -> Exn_escape.dead_export_findings cg)
           else []
         in
-        let budget_findings =
-          if enabled rule_budget then
-            timed rule_budget (fun () -> Budget_loop.findings cg)
-          else []
-        in
-        let all =
-          per_file @ eff_findings @ exn_findings @ dead_findings
-          @ budget_findings
-        in
+        let all = per_file @ eff_findings @ exn_findings @ dead_findings in
         let all =
           if not pragmas then all
           else

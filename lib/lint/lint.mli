@@ -42,14 +42,10 @@
       [Error.t] result ([*_exn] values are exempt by convention).
     - [dead-export]: a [.mli] value of a dune library never referenced
       outside its own module.
-    - [budget-unchecked-loop]: a loop (or self-recursive function)
-      reachable from [Engine] that calls the evaluation kernel on a
-      path that never consults [Resilience.Budget]. *)
 
-module Dataflow : module type of Dataflow
-(** The generic monotone-framework engine behind the protocol
-    summaries, re-exported for the property tests: [Solve(L).solve]
-    over any {!Dataflow.LATTICE}. *)
+    The search loops' budget discipline is not a rule: it holds by
+    construction, in the one driver every greedy search runs on
+    ([Iq.Candidates.iterate]). *)
 
 type related = Report.related = {
   rl_file : string;

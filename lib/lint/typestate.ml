@@ -1,15 +1,15 @@
 (* Path-sensitive abstract interpretation over untyped function
    bodies.
 
-   The protocol rules (Budget_loop, Lifecycle) both walk an
-   expression in evaluation order, carrying an abstract state that
-   joins at control-flow merges. This module owns that walk once; a
-   rule supplies a {!hooks} record — its lattice ([join]/[equal]) plus
-   callbacks for the events it cares about — and [exec] threads the
-   state through lets, sequences, branches, matches, loops, pipes and
-   inlined closures.
+   The handle-lifecycle rule (Lifecycle) walks an expression in
+   evaluation order, carrying an abstract state that joins at
+   control-flow merges. This module owns that walk; the rule supplies
+   a {!hooks} record — its lattice ([join]/[equal]) plus callbacks for
+   the events it cares about — and [exec] threads the state through
+   lets, sequences, branches, matches, loops, pipes and inlined
+   closures.
 
-   Approximations, deliberate and shared by every client:
+   Approximations, deliberate:
    - Closures are inlined at their occurrence: the body of a [fun]
      argument executes as part of the call. Higher-order flow is thus
      "called here, immediately" — right for the [with_lock f] /
@@ -44,8 +44,6 @@ type 'st hooks = {
           arguments are NOT routed through [on_ident]; they appear
           only in the argument list here (an argument position is a
           use/escape, not a read, and clients treat it differently). *)
-  on_setfield : 'st -> expression -> string -> Location.t -> 'st;
-      (** [base.field <- v] after [base] and [v] have executed. *)
   on_bind : 'st -> string list -> expression option -> 'st;
       (** [let p = rhs] after [rhs] executed; the names bound by [p],
           and the (stripped) rhs when there is one ([None] for
@@ -61,7 +59,6 @@ let default_hooks ~join ~equal =
     join;
     equal;
     on_apply = (fun st _ _ _ -> st);
-    on_setfield = (fun st _ _ _ -> st);
     on_bind = (fun st _ _ -> st);
     on_ident = (fun st _ _ -> st);
     loop_limit = 8;
@@ -101,10 +98,7 @@ let rec exec h st e =
   | Pexp_constant _ -> st
   | Pexp_apply (f, args) -> exec_apply h st loc f args
   | Pexp_field (base, _) -> exec h st base
-  | Pexp_setfield (base, { txt = flid; _ }, v) ->
-      let st = exec h st base in
-      let st = exec h st v in
-      h.on_setfield st base (Ast_util.last_comp flid) loc
+  | Pexp_setfield (base, _, v) -> exec h (exec h st base) v
   | Pexp_record (fields, base) ->
       let st = match base with Some b -> exec h st b | None -> st in
       List.fold_left (fun st (_, fe) -> exec h st fe) st fields

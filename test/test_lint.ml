@@ -1086,94 +1086,6 @@ let test_lifecycle_wal_double_close () =
   | fs' ->
       Alcotest.failf "expected one lifecycle finding, got %d" (List.length fs')
 
-(* ------------------------- budget-unchecked-loop ----------------- *)
-
-let budget fs = by_rule "budget-unchecked-loop" fs
-
-let evaluator_ml = "let eval x = x + 1\n"
-
-let unchecked_engine_ml =
-  "let run n =\n\
-  \  let acc = ref 0 in\n\
-  \  for i = 0 to n - 1 do\n\
-  \    acc := !acc + Evaluator.eval i\n\
-  \  done;\n\
-  \  !acc\n\
-   \n\
-   let rec search n = if n = 0 then 0 else Evaluator.eval n + search (n - 1)\n"
-
-let test_budget_loop_fires () =
-  let fs =
-    budget
-      (lint_project
-         [
-           ("dune", "(library (name fixbud))\n");
-           ("evaluator.ml", evaluator_ml);
-           ("engine.ml", unchecked_engine_ml);
-           (* The same loop outside the engine's reach stays silent. *)
-           ( "bench.ml",
-             "let offline n =\n\
-             \  let acc = ref 0 in\n\
-             \  for i = 0 to n - 1 do\n\
-             \    acc := !acc + Evaluator.eval i\n\
-             \  done;\n\
-             \  !acc\n" );
-         ])
-  in
-  List.iter
-    (fun (f : Lint.finding) ->
-      Alcotest.(check bool) "only engine.ml is on the serving path" true
-        (Filename.basename f.Lint.file = "engine.ml"))
-    fs;
-  match fs with
-  | [ loop; recur ] ->
-      Alcotest.(check int) "the for loop" 3 loop.Lint.line;
-      Alcotest.(check bool) "witnesses the evaluation site" true
-        (List.exists
-           (fun r -> contains r.Lint.rl_note "evaluation")
-           loop.Lint.related);
-      Alcotest.(check bool) "the recursive binding too" true
-        (contains recur.Lint.message "recursive `search`")
-  | fs' -> Alcotest.failf "expected two budget findings, got %d" (List.length fs')
-
-let test_budget_polled_loop_clean () =
-  let fs =
-    budget
-      (lint_project
-         [
-           ("dune", "(library (name fixbud))\n");
-           ("evaluator.ml", evaluator_ml);
-           ( "engine.ml",
-             "let run b n =\n\
-             \  let acc = ref 0 in\n\
-             \  for i = 0 to n - 1 do\n\
-             \    ignore (Resilience.Budget.check b);\n\
-             \    acc := !acc + Evaluator.eval i\n\
-             \  done;\n\
-             \  !acc\n" );
-         ])
-  in
-  Alcotest.check rules_t "a budget poll per iteration is clean" [] (rules fs)
-
-let test_budget_pragma () =
-  let fs =
-    budget
-      (lint_project
-         [
-           ("dune", "(library (name fixbud))\n");
-           ("evaluator.ml", evaluator_ml);
-           ( "engine.ml",
-             "let run n =\n\
-             \  let acc = ref 0 in\n\
-             \  (* iqlint: allow budget-unchecked-loop — bounded by n *)\n\
-             \  for i = 0 to n - 1 do\n\
-             \    acc := !acc + Evaluator.eval i\n\
-             \  done;\n\
-             \  !acc\n" );
-         ])
-  in
-  Alcotest.check rules_t "pragma suppresses" [] (rules fs)
-
 (* ------------------------- pragma transparency ------------------- *)
 
 let test_pragma_above_attribute () =
@@ -1206,92 +1118,6 @@ let a l = List.hd l
   Alcotest.check rules_t "a blank line is not transparent"
     [ "partial-function" ] (rules fs)
 
-(* ------------------------- dataflow solver ----------------------- *)
-
-let arb_dataflow =
-  let gen =
-    QCheck.Gen.(
-      let* n = int_range 1 8 in
-      let* seeds = array_size (return n) (int_range 0 15) in
-      let* deps =
-        array_size (return n) (list_size (int_range 0 4) (int_range 0 (n - 1)))
-      in
-      return (n, seeds, deps))
-  in
-  QCheck.make
-    ~print:(fun (n, seeds, deps) ->
-      Printf.sprintf "n=%d seeds=[%s] deps=[%s]" n
-        (String.concat ";" (List.map string_of_int (Array.to_list seeds)))
-        (String.concat ";"
-           (List.map
-              (fun l -> String.concat "," (List.map string_of_int l))
-              (Array.to_list deps))))
-    gen
-
-(* Chaotic round-robin iteration to a fixpoint: the reference
-   semantics the worklist solver must agree with. *)
-let naive_fixpoint n seeds deps =
-  let fact = Array.copy seeds in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    for i = 0 to n - 1 do
-      let next = List.fold_left (fun a d -> a lor fact.(d)) fact.(i) deps.(i) in
-      if next <> fact.(i) then begin
-        fact.(i) <- next;
-        changed := true
-      end
-    done
-  done;
-  fact
-
-let solve_bits n seeds deps =
-  Lint.Dataflow.Bits_solver.solve ~n
-    ~deps:(fun i -> deps.(i))
-    ~init:(fun i -> seeds.(i))
-    ~transfer:(fun ~get i ->
-      List.fold_left (fun a d -> a lor get d) seeds.(i) deps.(i))
-    ()
-
-let prop_solver_least_fixpoint =
-  QCheck.Test.make ~name:"worklist solve = chaotic least fixpoint" ~count:300
-    arb_dataflow (fun (n, seeds, deps) ->
-      let fact, stats = solve_bits n seeds deps in
-      fact = naive_fixpoint n seeds deps
-      && stats.Lint.Dataflow.Bits_solver.iterations >= n
-      && Array.for_all2 (fun f s -> f lor s = f) fact seeds)
-
-let prop_solver_monotone_in_seeds =
-  QCheck.Test.make ~name:"facts grow monotonically with seeds" ~count:300
-    arb_dataflow (fun (n, seeds, deps) ->
-      let lo, _ = solve_bits n seeds deps in
-      let hi, _ = solve_bits n (Array.map (fun s -> s lor 1) seeds) deps in
-      Array.for_all2 (fun l h -> l lor h = h) lo hi)
-
-let test_dataflow_widening () =
-  (* An unbounded-height climb on a 2-cycle: join alone needs ~1000
-     rounds; widening jumps to the stable top after [widen_after]
-     bumps. *)
-  let module Climb = Lint.Dataflow.Solve (struct
-    type t = int
-
-    let equal = Int.equal
-    let join = Int.max
-    let widen a b = if b > a then 1000 else a
-  end) in
-  let fact, stats =
-    Climb.solve ~widen_after:2 ~n:2
-      ~deps:(fun i -> [ 1 - i ])
-      ~init:(fun _ -> 0)
-      ~transfer:(fun ~get i -> Int.min 1000 (get (1 - i) + 1))
-      ()
-  in
-  Alcotest.(check (array int)) "widening reaches the stable top"
-    [| 1000; 1000 |] fact;
-  Alcotest.(check bool) "widening was applied" true (stats.Climb.widenings > 0);
-  Alcotest.(check bool) "far fewer iterations than the raw climb" true
-    (stats.Climb.iterations < 100)
-
 (* ------------------------- timings ------------------------------- *)
 
 let test_timings_payload () =
@@ -1313,7 +1139,9 @@ let test_timings_payload () =
           "load";
           "per-file";
           "callgraph";
-          "budget-unchecked-loop";
+          "effects";
+          "exn-escape";
+          "dead-export";
           "pragmas";
         ];
       List.iter
@@ -1371,17 +1199,19 @@ let test_prune_baseline_ratchet () =
 (* ------------------------- determinism over new passes ----------- *)
 
 let test_jobs_deterministic_protocol () =
-  (* Fixtures firing every protocol rule at once: output must stay
-     byte-identical across worker counts. *)
+  (* Fixtures firing the lifecycle rule and every whole-program rule
+     at once: output must stay byte-identical across worker counts. *)
   let dir =
     write_project
-      [
-        ("dune", "(library (name fixlib))\n");
-        ("evaluator.ml", evaluator_ml);
-        ("engine.ml", unchecked_engine_ml);
-        ( "leak.ml",
-          "let slurp () =\n  let ic = open_in \"x\" in\n  input_line ic\n" );
-      ]
+      (engine_fixture
+      @ [
+          ("a.ml", shared_counter_ml);
+          ( "b.ml",
+            "let run pool n =\n\
+            \  Parallel.parallel_for pool ~lo:0 ~hi:n (fun _ -> A.bump ())\n" );
+          ( "leak.ml",
+            "let slurp () =\n  let ic = open_in \"x\" in\n  input_line ic\n" );
+        ])
   in
   Fun.protect
     ~finally:(fun () -> rm_project dir)
@@ -1393,7 +1223,12 @@ let test_jobs_deterministic_protocol () =
       List.iter
         (fun rule ->
           Alcotest.(check bool) (rule ^ " present") true (contains o1 rule))
-        [ "budget-unchecked-loop"; "handle-lifecycle" ];
+        [
+          "handle-lifecycle";
+          "domain-unsafe-call";
+          "engine-boundary-raise";
+          "dead-export";
+        ];
       Alcotest.(check string) "--jobs 4 output byte-identical to --jobs 1" o1 o4)
 
 (* A handle closed outside a [Fun.protect] bracket leaks on the
@@ -1638,22 +1473,12 @@ let suite =
       test_lifecycle_wal_bracket_ok;
     Alcotest.test_case "handle-lifecycle: wal double close" `Quick
       test_lifecycle_wal_double_close;
-    Alcotest.test_case "budget-unchecked-loop: loop and recursion fire" `Quick
-      test_budget_loop_fires;
-    Alcotest.test_case "budget-unchecked-loop: polled loop clean" `Quick
-      test_budget_polled_loop_clean;
-    Alcotest.test_case "budget-unchecked-loop: pragma suppresses" `Quick
-      test_budget_pragma;
     Alcotest.test_case "pragma above an attribute line" `Quick
       test_pragma_above_attribute;
     Alcotest.test_case "pragma above a doc comment" `Quick
       test_pragma_above_doc_comment;
     Alcotest.test_case "pragma does not cross a blank line" `Quick
       test_pragma_blank_line_breaks;
-    QCheck_alcotest.to_alcotest prop_solver_least_fixpoint;
-    QCheck_alcotest.to_alcotest prop_solver_monotone_in_seeds;
-    Alcotest.test_case "dataflow: widening terminates the climb" `Quick
-      test_dataflow_widening;
     Alcotest.test_case "--timings payload covers every pass" `Quick
       test_timings_payload;
     Alcotest.test_case "--timings flag in text and JSON" `Quick

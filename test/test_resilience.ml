@@ -336,34 +336,73 @@ let test_deadline_env_knob () =
   | Ok _ -> Alcotest.fail "a 1ns deadline cannot finish"
   | Error e -> Alcotest.failf "wrong error: %s" (Engine.Error.to_string e)
 
+(* The four searches that run on the budgeted driver, behind one
+   shape so each budget property is checked on all of them: an answer
+   is the strategies, their (union) hit count and total cost. *)
+type answer = {
+  a_strategies : (int * Strategy.t) list;
+  a_hits : int;
+  a_cost : float;
+}
+
+let searches ~cost ~tau ~beta =
+  let multi target = [ (target, cost); (target + 1, cost) ] in
+  let single target strategy hits total =
+    { a_strategies = [ (target, strategy) ]; a_hits = hits; a_cost = total }
+  in
+  let multi_answer (o : Combinatorial.outcome) =
+    {
+      a_strategies = o.Combinatorial.strategies;
+      a_hits = o.Combinatorial.union_hits_after;
+      a_cost = o.Combinatorial.total_cost;
+    }
+  in
+  [
+    ( "min_cost",
+      fun budget e ~target ->
+        Result.map
+          (fun o ->
+            single target o.Min_cost.strategy o.Min_cost.hits_after
+              o.Min_cost.total_cost)
+          (Engine.min_cost ?budget e ~cost ~target ~tau) );
+    ( "max_hit",
+      fun budget e ~target ->
+        Result.map
+          (fun o ->
+            single target o.Max_hit.strategy o.Max_hit.hits_after
+              o.Max_hit.total_cost)
+          (Engine.max_hit ?budget e ~cost ~target ~beta) );
+    ( "min_cost_multi",
+      fun budget e ~target ->
+        Result.map multi_answer
+          (Engine.min_cost_multi ?budget e ~costs:(multi target) ~tau) );
+    ( "max_hit_multi",
+      fun budget e ~target ->
+        Result.map multi_answer
+          (Engine.max_hit_multi ?budget e ~costs:(multi target) ~beta) );
+  ]
+
 (* An armed budget that never trips pays real clock reads and step
    accounting on every check, but must not change a single decision:
-   both searches return exactly what the unbudgeted call returns. *)
+   every search returns exactly what the unbudgeted call returns. *)
 let test_armed_budget_same_outcomes () =
   let inst = make_instance () in
   let cost = Cost.euclidean (Instance.dim inst) in
   let e = engine inst in
   let armed () = Budget.create ~deadline_ms:3.6e6 ~max_steps:max_int () in
   List.iter
-    (fun target ->
-      (match
-         ( Engine.min_cost e ~cost ~target ~tau:3,
-           Engine.min_cost ~budget:(armed ()) e ~cost ~target ~tau:3 )
-       with
-      | Ok a, Ok b ->
-          Alcotest.(check bool)
-            (Printf.sprintf "min-cost target %d unchanged" target)
-            true (same_mincost a b)
-      | Error Engine.Error.Infeasible, Error Engine.Error.Infeasible -> ()
-      | _ -> Alcotest.failf "min-cost target %d changed outcome" target);
-      let a = ok (Engine.max_hit e ~cost ~target ~beta:0.5) in
-      let b = ok (Engine.max_hit ~budget:(armed ()) e ~cost ~target ~beta:0.5) in
-      Alcotest.(check bool)
-        (Printf.sprintf "max-hit target %d unchanged" target)
-        true
-        (a.Max_hit.strategy = b.Max_hit.strategy
-        && a.Max_hit.hits_after = b.Max_hit.hits_after))
-    [ 0; 20; 40; 60 ]
+    (fun (name, run) ->
+      List.iter
+        (fun target ->
+          match (run None e ~target, run (Some (armed ())) e ~target) with
+          | Ok a, Ok b ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s target %d unchanged" name target)
+                true (a = b)
+          | Error Engine.Error.Infeasible, Error Engine.Error.Infeasible -> ()
+          | _ -> Alcotest.failf "%s target %d changed outcome" name target)
+        [ 0; 20; 40; 60 ])
+    (searches ~cost ~tau:3 ~beta:0.5)
 
 (* The anytime curve: a step budget doubled from 1 never loses hits as
    it grows, and the first budget that completes lands exactly on the
@@ -372,29 +411,68 @@ let test_step_sweep_anytime_curve () =
   let inst = make_instance () in
   let cost = Cost.euclidean (Instance.dim inst) in
   let e = engine inst in
-  let target = 0 and tau = 10 in
-  let full = ok (Engine.min_cost e ~cost ~target ~tau) in
-  let rec sweep steps prev degraded =
-    if steps > 1 lsl 22 then Alcotest.fail "step sweep never completed";
-    let budget = Budget.create ~max_steps:steps () in
-    match Engine.min_cost ~budget e ~cost ~target ~tau with
-    | Ok o ->
-        Alcotest.(check bool) "some budget degraded first" true (degraded > 0);
-        Alcotest.(check bool)
-          (Printf.sprintf "completion at %d steps keeps its hits" steps)
-          true (o.Min_cost.hits_after >= prev);
-        Alcotest.(check bool)
-          "completing point = unbudgeted search" true (same_mincost full o)
-    | Error (Engine.Error.Deadline_exceeded { partial = Some p; _ }) ->
-        if p.Engine.p_hits < prev then
-          Alcotest.failf "hits fell from %d to %d at %d steps" prev
-            p.Engine.p_hits steps;
-        sweep (2 * steps) p.Engine.p_hits (degraded + 1)
-    | Error err ->
-        Alcotest.failf "unexpected error at %d steps: %s" steps
-          (Engine.Error.to_string err)
+  let target = 0 in
+  List.iter
+    (fun (name, run) ->
+      let full = ok (run None e ~target) in
+      let rec sweep steps prev degraded =
+        if steps > 1 lsl 22 then
+          Alcotest.failf "%s: step sweep never completed" name;
+        match run (Some (Budget.create ~max_steps:steps ())) e ~target with
+        | Ok o ->
+            Alcotest.(check bool)
+              (name ^ ": some budget degraded first")
+              true (degraded > 0);
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: completion at %d steps keeps its hits" name
+                 steps)
+              true (o.a_hits >= prev);
+            Alcotest.(check bool)
+              (name ^ ": completing point = unbudgeted search")
+              true (o = full)
+        | Error (Engine.Error.Deadline_exceeded { partial = Some p; _ }) ->
+            if p.Engine.p_hits < prev then
+              Alcotest.failf "%s: hits fell from %d to %d at %d steps" name
+                prev p.Engine.p_hits steps;
+            sweep (2 * steps) p.Engine.p_hits (degraded + 1)
+        | Error err ->
+            Alcotest.failf "%s: unexpected error at %d steps: %s" name steps
+              (Engine.Error.to_string err)
+      in
+      sweep 1 min_int 0)
+    (searches ~cost ~tau:10 ~beta:1.0)
+
+(* The driver every search runs on: a batch whose collection tripped
+   the budget never reaches [decide], and the trip ends the loop with
+   that iteration counted. *)
+let test_iterate_drops_tripped_batch () =
+  let budget = Budget.create ~max_steps:5 () in
+  let decided = ref [] in
+  let iterations, status =
+    Candidates.iterate ~budget ~search:`Max_hit
+      ~pending:(fun () -> true)
+      ~collect:(fun b ->
+        Budget.step b 2;
+        Budget.steps_used b)
+      ~decide:(fun used ->
+        decided := used :: !decided;
+        true)
+      ()
   in
-  sweep 1 min_int 0
+  Alcotest.(check (list int)) "only untripped batches decided" [ 4; 2 ]
+    !decided;
+  Alcotest.(check int) "the tripped iteration counts" 3 iterations;
+  Alcotest.(check bool) "degraded" true
+    (match status with `Degraded _ -> true | `Complete -> false);
+  let iterations, status =
+    Candidates.iterate ~max_iterations:4 ~search:`Max_hit
+      ~pending:(fun () -> true)
+      ~collect:(fun _ -> ())
+      ~decide:(fun () -> true)
+      ()
+  in
+  Alcotest.(check int) "stops at the cap" 4 iterations;
+  Alcotest.(check bool) "complete at the cap" true (status = `Complete)
 
 let test_multi_degrades () =
   let inst = make_instance () in
@@ -615,6 +693,8 @@ let suite =
       test_deadline_env_knob;
     Alcotest.test_case "engine: multi-target degrades" `Quick
       test_multi_degrades;
+    Alcotest.test_case "search driver drops a tripped batch" `Quick
+      test_iterate_drops_tripped_batch;
     Alcotest.test_case "engine: armed budget never changes outcomes" `Quick
       test_armed_budget_same_outcomes;
     Alcotest.test_case "engine: step sweep is a monotone anytime curve" `Quick

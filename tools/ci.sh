@@ -45,7 +45,7 @@ echo "== iqlint pass timings (hard budget) =="
 # `parse-cache-saved` line is time the AST cache saved, not time
 # spent, so it is left out of the total. Raise LINT_BUDGET_MS
 # deliberately when a new pass genuinely needs it.
-LINT_BUDGET_MS="${LINT_BUDGET_MS:-10000}"
+LINT_BUDGET_MS="${LINT_BUDGET_MS:-5000}"
 ./_build/default/bin/iqlint.exe --timings \
   --baseline tools/lint-baseline.json lib bin bench examples test \
   > _build/iqlint-timings.txt
