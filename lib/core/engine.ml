@@ -26,6 +26,7 @@ module Error = struct
     | Cancelled of { partial : partial option }
     | Fault_spec of { spec : string; msg : string }
     | Wal_corrupt of { path : string; offset : int }
+    | Not_checkpointable of string
     | Internal of string
 
   let partial_str = function
@@ -61,9 +62,11 @@ module Error = struct
         Printf.sprintf "bad IQ_FAULT spec %S: %s" spec msg
     | Wal_corrupt { path; offset } ->
         Printf.sprintf "corrupt durable log %s at byte %d" path offset
+    | Not_checkpointable utility ->
+        Printf.sprintf
+          "utility %S is not linear: its feature map cannot be checkpointed"
+          utility
     | Internal msg -> "internal error: " ^ msg
-
-  let pp ppf e = Format.pp_print_string ppf (to_string e)
 end
 
 let ( let* ) = Result.bind

@@ -98,14 +98,16 @@ module Error : sig
             [offset] — a checksum mismatch or an impossible length.
             Recovery ([Durable.Recovery]) reports it after replaying
             the intact prefix; it never surfaces as a raw exception. *)
+    | Not_checkpointable of string
+        (** [Durable.Store.attach] on an engine whose utility (named
+            here) is not linear: the feature map of Sec. 5.2/5.3 is a
+            closure no checkpoint can serialise *)
     | Internal of string
         (** an unexpected exception escaped an internal layer; carries
             [Printexc.to_string]. Entry points catch-and-wrap rather
             than leak raw exceptions across the serving boundary. *)
 
   val to_string : t -> string
-
-  val pp : Format.formatter -> t -> unit
 end
 
 (** An evaluation backend. [prepare] builds the per-target evaluator
@@ -139,10 +141,6 @@ module Rta_backend : BACKEND
 val backend_of_name : string -> (backend, Error.t) result
 (** ["ese"]/["efficient-iq"], ["scan"]/["naive"], ["rta"]/["rta-iq"]
     (case-insensitive); anything else is [Unknown_backend]. *)
-
-val default_backend : unit -> (backend, Error.t) result
-(** [backend_of_name (Workload.Config.backend ())] — the [IQ_BACKEND]
-    environment knob. *)
 
 type resilience = {
   retries : int;

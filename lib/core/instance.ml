@@ -62,7 +62,6 @@ let max_k t =
   Array.fold_left (fun acc q -> Int.max acc q.Topk.Query.k) 1 t.queries
 
 let score t ~q id = Vec.dot t.queries.(q).Topk.Query.weights t.features.(id)
-let score_vec t ~q v = Vec.dot t.queries.(q).Topk.Query.weights v
 let improved t ~target ~s = Vec.add t.features.(target) s
 
 let shared t = t.features == t.raw

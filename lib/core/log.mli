@@ -3,8 +3,6 @@
     the usual [Logs] continuation style:
     [Iq.Log.debug (fun m -> m "evaluated %d candidates" n)]. *)
 
-val src : Logs.src
-
 val debug : 'a Logs.log
 val info : 'a Logs.log
 val warn : 'a Logs.log

@@ -40,9 +40,6 @@ val of_instance : ?domain:Box.t -> Instance.t -> Hyperplane.t array * t
 
 val subdomains : t -> subdomain list
 
-val subdomain_of : t -> int -> int
-(** Subdomain id containing a query index. *)
-
 val count : t -> int
 
 val same_cell : t -> int -> int -> bool

@@ -20,12 +20,15 @@ let linear_utility (u : Topk.Utility.t) =
   && String.length u.Topk.Utility.name >= 6
   && String.sub u.Topk.Utility.name 0 6 = "linear"
 
+let check snap =
+  let u = (Iq.Snapshot.instance snap).Iq.Instance.utility in
+  if linear_utility u then Ok ()
+  else Error (Iq.Engine.Error.Not_checkpointable u.Topk.Utility.name)
+
 let of_snapshot snap =
   let inst = Iq.Snapshot.instance snap in
   if not (linear_utility inst.Iq.Instance.utility) then
-    invalid_arg
-      "Durable.Checkpoint.of_snapshot: only linear-utility engines are \
-       checkpointable (the feature-map closure cannot be serialised)";
+    invalid_arg "Durable.Checkpoint.of_snapshot: snapshot failed [check]";
   let order = inst.Iq.Instance.order in
   {
     c_generation = Iq.Snapshot.generation snap;

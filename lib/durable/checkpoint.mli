@@ -6,8 +6,8 @@
     stamp — enough for [Recovery] to rebuild a byte-identical engine
     through [Instance.create] and the normal index build. No closures
     are stored, so only {e linear-utility} engines are checkpointable
-    (the same restriction [Query_index.save] documents); feature-mapped
-    engines get [Invalid_argument] from {!of_snapshot}.
+    (the same restriction [Query_index.save] documents); {!check}
+    reports a feature-mapped engine as a typed error.
 
     {b Atomicity.} {!write} goes tmp → flush → fsync → rename. A crash
     at any point (the [checkpoint.write] / [checkpoint.rename] fault
@@ -20,10 +20,15 @@ val path_in : string -> string
 (** The checkpoint's path inside a durable directory
     ([<dir>/checkpoint.iqc]). *)
 
+val check : Iq.Snapshot.t -> (unit, Iq.Engine.Error.t) result
+(** [Ok ()] when the snapshot's utility is linear, else
+    [Error (Not_checkpointable name)]. *)
+
 val of_snapshot : Iq.Snapshot.t -> t
-(** Capture a published snapshot (called under the engine's write lock
-    by the journal's checkpoint callback).
-    @raise Invalid_argument on non-linear utilities. *)
+(** Capture a published snapshot that passed {!check} (called under
+    the engine's write lock by the journal's checkpoint callback).
+    [Store.attach] runs {!check} once; an engine's utility never
+    changes, so every later snapshot passes too. *)
 
 val generation : t -> int
 (** The generation the image was taken at — replay applies only log

@@ -41,7 +41,9 @@ let attach ?sync ?every ?fault ?(replayed_records = 0) ~dir engine =
                    msg;
                  }))
   in
-  match resolve_fault () with
+  match
+    Result.bind (Checkpoint.check (Iq.Engine.snapshot engine)) resolve_fault
+  with
   | Error e -> Error e
   | Ok fault -> (
       try

@@ -74,5 +74,3 @@ let min_dist2 b p =
 let unit d = { lo = Vec.zero d; hi = Vec.make d 1. }
 
 let equal ?eps a b = Vec.equal ?eps a.lo b.lo && Vec.equal ?eps a.hi b.hi
-
-let pp ppf b = Format.fprintf ppf "[%a .. %a]" Vec.pp b.lo Vec.pp b.hi

@@ -46,5 +46,3 @@ val unit : int -> t
 (** [unit d] is [\[0,1\]^d] — the normalized query-weight domain. *)
 
 val equal : ?eps:float -> t -> t -> bool
-
-val pp : Format.formatter -> t -> unit

@@ -42,9 +42,6 @@ let rows t = t.rows
    [i * dim t .. i * dim t + dim t - 1]; treat it as read-only — the
    slab is shared by every structure derived from the same instance. *)
 let data t = t.a
-let offset t i = i * t.dim
-
-let get t i j = t.a.((i * t.dim) + j)
 
 let row t i =
   if i < 0 || i >= t.rows then invalid_arg "Geom.Flat.row: bad index";
@@ -91,5 +88,3 @@ let remove_row t i =
     Array.blit t.a ((i + 1) * t.dim) a (i * t.dim) ((t.rows - 1 - i) * t.dim);
     { t with rows = t.rows - 1; a }
   end
-
-let to_rows t = Array.init t.rows (row t)

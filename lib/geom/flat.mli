@@ -11,9 +11,6 @@
 
 type t
 
-(** The empty slab ([dim] = 0, [rows] = 0). *)
-val empty : t
-
 (** Build a slab from boxed rows. All rows must share one dimension.
     @raise Invalid_argument on ragged input. *)
 val of_rows : Vec.t array -> t
@@ -25,13 +22,6 @@ val rows : t -> int
     [dim t] cells. Read-only by convention — slabs are shared. *)
 val data : t -> float array
 
-(** Start offset of row [i] in {!data}. *)
-val offset : t -> int -> int
-
-(** [get t i j] is coordinate [j] of row [i]. Unchecked beyond array
-    bounds. *)
-val get : t -> int -> int -> float
-
 (** Materialize row [i] as a fresh boxed vector. *)
 val row : t -> int -> Vec.t
 
@@ -42,6 +32,3 @@ val dot : t -> int -> Vec.t -> float
 val append_row : t -> Vec.t -> t
 val update_row : t -> int -> Vec.t -> t
 val remove_row : t -> int -> t
-
-(** Materialize every row (mainly for tests). *)
-val to_rows : t -> Vec.t array

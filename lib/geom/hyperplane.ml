@@ -11,7 +11,6 @@ let of_points p_i p_l =
   if Vec.is_zero ~eps:0. normal then None
   else Some { normal; offset = 0. }
 
-let dim h = Vec.dim h.normal
 let eval h x = Vec.dot h.normal x -. h.offset
 
 let side ?(eps = 1e-12) h x =
@@ -70,6 +69,3 @@ let box_min_max_n ~normal ~lo ~hi =
     end
   done;
   (!mn, !mx)
-
-let pp ppf h =
-  Format.fprintf ppf "{%a . x = %g}" Vec.pp h.normal h.offset

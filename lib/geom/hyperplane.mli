@@ -17,8 +17,6 @@ val of_points : Vec.t -> Vec.t -> t option
 (** [of_points p_i p_l] is the intersection hyperplane of the two object
     functions, [None] when the objects coincide (no intersection). *)
 
-val dim : t -> int
-
 val eval : t -> Vec.t -> float
 (** [eval h x] is [normal . x - offset]; positive on the above side. *)
 
@@ -53,5 +51,3 @@ val box_min_max_n : normal:Vec.t -> lo:Vec.t -> hi:Vec.t -> float * float
     ~offset:0.) ~lo ~hi] without constructing the hyperplane (and without
     the zero-normal check) — bit-for-bit identical results. Hot loops use
     this to range a candidate plane over the weight domain per rival. *)
-
-val pp : Format.formatter -> t -> unit

@@ -3,11 +3,9 @@ type t = float array
 let dim = Array.length
 let make d x = Array.make d x
 let zero d = make d 0.
-let init = Array.init
 let of_list = Array.of_list
 let to_list = Array.to_list
 let copy = Array.copy
-let get v i = v.(i)
 
 let basis d i =
   let v = zero d in
@@ -54,7 +52,6 @@ let normalize_l1 v =
   if s = 0. then v else scale (1. /. s) v
 
 let lerp a b t = add a (scale t (sub b a))
-let map = Array.map
 
 let for_all2 f a b =
   check_dim a b;

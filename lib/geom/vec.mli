@@ -14,15 +14,9 @@ val make : int -> float -> t
 val zero : int -> t
 (** [zero d] is [make d 0.]. *)
 
-val init : int -> (int -> float) -> t
-
 val of_list : float list -> t
 
-val to_list : t -> float list
-
 val copy : t -> t
-
-val get : t -> int -> float
 
 val basis : int -> int -> t
 (** [basis d i] is the [i]-th standard basis vector of [R^d]. *)
@@ -67,8 +61,6 @@ val normalize_l1 : t -> t
 
 val lerp : t -> t -> float -> t
 (** [lerp a b t] is [a + t*(b - a)]. *)
-
-val map : (float -> float) -> t -> t
 
 val map2 : (float -> float -> float) -> t -> t -> t
 

@@ -176,9 +176,7 @@ let bracketed_names body =
 
 let findings ~in_test ~file str =
   let out = ref [] in
-  let emit ?(related = []) loc message =
-    out := Report.mk ~related ~file loc rule_id message :: !out
-  in
+  let emit loc message = out := Report.mk ~file loc rule_id message :: !out in
   let analyze (_name, body, _bloc) =
     let bracketed = bracketed_names body in
     let on_bind st vars rhs =
@@ -200,21 +198,20 @@ let findings ~in_test ~file str =
                 match SMap.find_opt v st with
                 | Some (Closed first) ->
                     emit loc
-                      ~related:[ Report.rel ~file first "first closed here" ]
                       (Printf.sprintf
-                         "`%s` is closed twice; the second close races or \
-                          raises depending on the resource"
-                         v);
+                         "`%s` is closed twice (first closed at line %d); the \
+                          second close races or raises depending on the \
+                          resource"
+                         v (Report.line_of first));
                     st
                 | Some (Open { kind; oloc; used }) ->
                     if used && (not (List.mem v bracketed)) && not in_test then
                       emit loc
-                        ~related:[ Report.rel ~file oloc "opened here" ]
                         (Printf.sprintf
-                           "%s `%s` is closed outside a Fun.protect bracket; \
-                            an exception raised between open and close leaks \
-                            it — close it in ~finally"
-                           kind v);
+                           "%s `%s` (opened at line %d) is closed outside a \
+                            Fun.protect bracket; an exception raised between \
+                            open and close leaks it — close it in ~finally"
+                           kind v (Report.line_of oloc));
                     SMap.add v (Closed loc) st
                 | Some Escaped -> SMap.add v (Closed loc) st
                 | None -> st)
@@ -229,9 +226,10 @@ let findings ~in_test ~file str =
                 match SMap.find_opt v st with
                 | Some (Closed cloc) ->
                     emit a.pexp_loc
-                      ~related:[ Report.rel ~file cloc "closed/shut down here" ]
                       (Printf.sprintf
-                         "`%s` is used after it was closed/shut down" v);
+                         "`%s` is used after it was closed/shut down (closed \
+                          at line %d)"
+                         v (Report.line_of cloc));
                     st
                 | Some (Open o) -> SMap.add v (Open { o with used = true }) st
                 | Some Escaped | None -> st))

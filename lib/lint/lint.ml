@@ -9,8 +9,8 @@
      a {!Project}, build a cross-module {!Callgraph}, and run the
      {!Effects} and {!Exn_escape} interprocedural passes.
 
-   Findings print as [file:line:col [rule-id] message] (or JSON/SARIF
-   via [--format]); a finding is suppressed by a pragma comment
+   Findings print as [file:line:col [rule-id] message]; a finding is
+   suppressed by a pragma comment
    [(* iqlint: allow <rule-id> *)] on the same line or the line
    directly above. See DESIGN.md "Whole-program lint" for the
    invariant each rule protects and the approximations the call graph
@@ -19,26 +19,16 @@
 open Parsetree
 open Longident
 
-type related = Report.related = {
-  rl_file : string;
-  rl_line : int;
-  rl_col : int;
-  rl_note : string;
-}
-
 type finding = Report.finding = {
   file : string;
   line : int;
   col : int;
   rule : string;
   message : string;
-  related : related list;
 }
 
 let compare_finding = Report.compare_finding
 let pp_finding = Report.pp_finding
-
-type format = Report.format = Text | Json | Sarif
 
 (* ------------------------------------------------------------------ *)
 (* Rules                                                              *)
@@ -339,7 +329,6 @@ let parse_error_finding file =
     col = 0;
     rule = rule_parse_error;
     message = "file does not parse; run the compiler for details";
-    related = [];
   }
 
 (* ---------------------- pragma suppression ------------------------ *)
@@ -475,9 +464,8 @@ let lint_file ?enabled path = lint_source ?enabled ~file:path (read_file path)
 
 (* [lint_paths_timed] also returns per-pass wall times (seconds, in
    pass order) for [--timings]. *)
-let lint_paths_timed ?(enabled = fun _ -> true) ?jobs ?(pragmas = true) paths =
+let lint_paths_timed ?(enabled = fun _ -> true) ?jobs paths =
   let timings = ref [] in
-  let _, _, cache_saved0 = Project.parse_cache_stats () in
   let timed name f =
     let t0 = Unix.gettimeofday () in
     let r = f () in
@@ -528,39 +516,26 @@ let lint_paths_timed ?(enabled = fun _ -> true) ?jobs ?(pragmas = true) paths =
         in
         let all = per_file @ eff_findings @ exn_findings @ dead_findings in
         let all =
-          if not pragmas then all
-          else
-            timed "pragmas" (fun () ->
-                let tables = Hashtbl.create 32 in
-                List.iter
-                  (fun f ->
-                    if not (Hashtbl.mem tables f.Project.path) then
-                      Hashtbl.replace tables f.Project.path
-                        (pragmas_of_source f.Project.source))
-                  proj.Project.files;
-                List.filter
-                  (fun (fd : finding) ->
-                    match Hashtbl.find_opt tables fd.file with
-                    | Some tbl -> not (suppressed tbl fd)
-                    | None -> true)
-                  all)
+          timed "pragmas" (fun () ->
+              let tables = Hashtbl.create 32 in
+              List.iter
+                (fun f ->
+                  if not (Hashtbl.mem tables f.Project.path) then
+                    Hashtbl.replace tables f.Project.path
+                      (pragmas_of_source f.Project.source))
+                proj.Project.files;
+              List.filter
+                (fun (fd : finding) ->
+                  match Hashtbl.find_opt tables fd.file with
+                  | Some tbl -> not (suppressed tbl fd)
+                  | None -> true)
+                all)
         in
         List.sort_uniq compare_finding all)
   in
-  (* The AST cache's contribution this run: wall time the cached
-     parses cost when first performed — i.e. what re-parsing would
-     have added to the load pass. *)
-  let _, _, cache_saved1 = Project.parse_cache_stats () in
-  timings := ("parse-cache-saved", cache_saved1 -. cache_saved0) :: !timings;
   (findings, List.rev !timings)
 
-let lint_paths ?enabled ?jobs ?pragmas paths =
-  fst (lint_paths_timed ?enabled ?jobs ?pragmas paths)
-
-let parse_cache_stats = Project.parse_cache_stats
-
-let render ?timings format findings =
-  Report.render ?timings ~rules:all_rules format findings
+let lint_paths ?enabled ?jobs paths = fst (lint_paths_timed ?enabled ?jobs paths)
 
 (* ---------------------- CLI ---------------------------------------- *)
 
@@ -568,35 +543,20 @@ let split_ids s = String.split_on_char ',' s |> List.filter (fun x -> x <> "")
 
 let usage =
   "usage: iqlint [--rules id,id] [--disable id,id] [--list-rules]\n\
-  \              [--explain rule-id] [--format text|json|sarif]\n\
-  \              [--baseline file.json] [--write-baseline file.json]\n\
-  \              [--prune-baseline file.json] [--jobs N] [--no-pragmas]\n\
-  \              [--timings] [path ...]\n\
+  \              [--explain rule-id] [--timings] [path ...]\n\
    Paths may be .ml/.mli files or directories (scanned recursively); default\n\
-   is `lib bin bench examples test`. Exit 1 when any unsuppressed,\n\
-   non-baselined finding is reported.\n\
+   is `lib bin bench examples test`. Exit 1 when any unsuppressed finding is\n\
+   reported.\n\
    Suppress a finding with `(* iqlint: allow <rule-id> *)` on the same line\n\
    or the line directly above it (attributes and one-line comments between\n\
-   them are transparent); `--no-pragmas` ignores pragmas for audit runs.\n\
-   `--baseline` tolerates checked-in legacy findings (per-file, per-rule\n\
-   counts) and fails the run when any (file, rule) group grows past its\n\
-   budget; `--write-baseline` records the current findings as the new\n\
-   baseline; `--prune-baseline` shrinks budgets down to the current counts\n\
-   (the ratchet) without admitting anything new. `--timings` reports\n\
-   per-pass wall time (text summary, `timings_ms` in JSON). `--explain`\n\
-   prints one rule's rationale, a minimal firing example and its\n\
+   them are transparent). `--timings` reports per-pass wall time.\n\
+   `--explain` prints one rule's rationale, a minimal firing example and its\n\
    suppression pragma."
 
 let main ?(out = Format.std_formatter) args =
   let only = ref None
   and disabled = ref []
   and paths = ref []
-  and format = ref Report.Text
-  and baseline = ref None
-  and write_baseline = ref None
-  and prune_baseline = ref None
-  and jobs = ref None
-  and pragmas = ref true
   and want_timings = ref false in
   let bad = ref None in
   let rec parse = function
@@ -616,32 +576,8 @@ let main ?(out = Format.std_formatter) args =
     | "--disable" :: v :: rest ->
         disabled := !disabled @ split_ids v;
         parse rest
-    | "--format" :: v :: rest -> (
-        match Report.format_of_string v with
-        | Some f ->
-            format := f;
-            parse rest
-        | None -> bad := Some (Printf.sprintf "unknown format `%s`" v))
-    | "--baseline" :: v :: rest ->
-        baseline := Some v;
-        parse rest
-    | "--write-baseline" :: v :: rest ->
-        write_baseline := Some v;
-        parse rest
-    | "--prune-baseline" :: v :: rest ->
-        prune_baseline := Some v;
-        parse rest
     | "--timings" :: rest ->
         want_timings := true;
-        parse rest
-    | "--jobs" :: v :: rest -> (
-        match int_of_string_opt v with
-        | Some n when n >= 1 ->
-            jobs := Some n;
-            parse rest
-        | _ -> bad := Some (Printf.sprintf "bad --jobs value `%s`" v))
-    | "--no-pragmas" :: rest ->
-        pragmas := false;
         parse rest
     | ("--help" | "-h") :: _ ->
         Format.fprintf out "%s@." usage;
@@ -690,105 +626,16 @@ let main ?(out = Format.std_formatter) args =
             2
           end
           else
-            let findings, timings =
-              lint_paths_timed ~enabled ?jobs:!jobs ~pragmas:!pragmas paths
-            in
-            let print_timings () =
-              if !want_timings then
-                List.iter
-                  (fun (name, secs) ->
-                    Format.fprintf out "iqlint: pass %-24s %8.2f ms@." name
-                      (secs *. 1000.))
-                  timings
-            in
-            let write_doc file doc =
-              let oc = open_out_bin file in
-              Fun.protect
-                ~finally:(fun () -> close_out_noerr oc)
-                (fun () -> output_string oc doc)
-            in
-            match !write_baseline with
-            | Some file ->
-                write_doc file
-                  (Report.baseline_json
-                     ~note:"accepted legacy findings; regenerate with iqlint \
-                            --write-baseline"
-                     findings);
-                Format.fprintf out "iqlint: wrote baseline (%d finding(s)) to %s@."
-                  (List.length findings) file;
-                0
-            | None -> (
-                match !prune_baseline with
-                | Some file -> (
-                    match Report.load_baseline file with
-                    | Error msg ->
-                        Format.fprintf out "iqlint: %s@." msg;
-                        2
-                    | Ok entries ->
-                        let pruned = Report.prune_entries entries findings in
-                        write_doc file
-                          (Report.entries_json
-                             ~note:"accepted legacy findings; regenerate with \
-                                    iqlint --write-baseline"
-                             pruned);
-                        Format.fprintf out
-                          "iqlint: pruned baseline %s: %d -> %d group(s)@."
-                          file (List.length entries) (List.length pruned);
-                        0)
-                | None -> (
-                    let applied =
-                      match !baseline with
-                      | None -> Ok (0, findings, [])
-                      | Some file -> (
-                          match Report.load_baseline file with
-                          | Error msg -> Error msg
-                          | Ok entries ->
-                              let kept =
-                                Report.apply_baseline entries findings
-                              in
-                              Ok
-                                ( List.length findings - List.length kept,
-                                  kept,
-                                  Report.baseline_regressions entries findings
-                                ))
-                    in
-                    match applied with
-                    | Error msg ->
-                        Format.fprintf out "iqlint: %s@." msg;
-                        2
-                    | Ok (baselined, findings, regressions) -> (
-                        match !format with
-                        | Report.Text -> (
-                            List.iter
-                              (fun f -> Format.fprintf out "%a@." pp_finding f)
-                              findings;
-                            List.iter
-                              (fun (file, rule, budget, current) ->
-                                Format.fprintf out
-                                  "iqlint: baseline ratchet: %s [%s] budget \
-                                   %d exceeded (now %d)@."
-                                  file rule budget current)
-                              regressions;
-                            print_timings ();
-                            match findings with
-                            | [] ->
-                                if baselined > 0 then
-                                  Format.fprintf out
-                                    "iqlint: clean (%d baselined finding(s))@."
-                                    baselined;
-                                0
-                            | fs ->
-                                Format.fprintf out "iqlint: %d finding(s)%s@."
-                                  (List.length fs)
-                                  (if baselined > 0 then
-                                     Printf.sprintf " (+%d baselined)"
-                                       baselined
-                                   else "");
-                                1)
-                        | Report.Json | Report.Sarif ->
-                            let timings =
-                              if !want_timings then timings else []
-                            in
-                            Format.fprintf out "%s"
-                              (render ~timings !format findings);
-                            if findings = [] then 0 else 1)))))
+            let findings, timings = lint_paths_timed ~enabled paths in
+            List.iter (fun f -> Format.fprintf out "%a@." pp_finding f) findings;
+            if !want_timings then
+              List.iter
+                (fun (name, secs) ->
+                  Format.fprintf out "iqlint: pass %-24s %8.2f ms@." name
+                    (secs *. 1000.))
+                timings;
+            match findings with
+            | [] -> 0
+            | fs ->
+                Format.fprintf out "iqlint: %d finding(s)@." (List.length fs);
+                1))

@@ -45,14 +45,11 @@
 
     The search loops' budget discipline is not a rule: it holds by
     construction, in the one driver every greedy search runs on
-    ([Iq.Candidates.iterate]). *)
+    ([Iq.Candidates.iterate]).
 
-type related = Report.related = {
-  rl_file : string;
-  rl_line : int;  (** 1-based *)
-  rl_col : int;  (** 0-based *)
-  rl_note : string;  (** why this location matters, e.g. "opened here" *)
-}
+    Findings have one rendering, {!pp_finding}'s text line. Nothing is
+    tolerated: any unsuppressed finding fails [dune build @lint], and
+    [dune runtest] depends on that alias. *)
 
 type finding = Report.finding = {
   file : string;
@@ -60,9 +57,8 @@ type finding = Report.finding = {
   col : int;  (** 0-based *)
   rule : string;  (** rule id, e.g. ["float-exact-compare"] *)
   message : string;
-  related : related list;
-      (** witness path: steps that explain the finding, rendered as
-          SARIF [relatedLocations] *)
+      (** a finding that depends on a second site (the open of a leaked
+          handle, the first of two closes) names its line here *)
 }
 
 val all_rules : (string * string) list
@@ -79,14 +75,6 @@ val compare_finding : finding -> finding -> int
 val pp_finding : Format.formatter -> finding -> unit
 (** Renders as [file:line:col [rule-id] message]. *)
 
-type format = Report.format = Text | Json | Sarif
-
-val render : ?timings:(string * float) list -> format -> finding list -> string
-(** Render a finding list as the given output document: plain text
-    lines, an iqlint JSON report, or SARIF 2.1.0. [timings] (pass
-    name, wall seconds) adds a [timings_ms] object to the JSON
-    report; the other formats ignore it. *)
-
 val lint_source :
   ?enabled:(string -> bool) -> file:string -> string -> finding list
 (** Per-file rules over source text [src] attributed to [file].
@@ -99,31 +87,18 @@ val lint_file : ?enabled:(string -> bool) -> string -> finding list
 (** [lint_source] over a file's contents. *)
 
 val lint_paths :
-  ?enabled:(string -> bool) ->
-  ?jobs:int ->
-  ?pragmas:bool ->
-  string list ->
-  finding list
+  ?enabled:(string -> bool) -> ?jobs:int -> string list -> finding list
 (** Whole-program lint: loads every [.ml]/[.mli] under the given
     files/directories (recursively; skips [_build] and
     dot-directories) into a project, runs the per-file rules on each
     implementation and the whole-program rules on the cross-module
     call graph. [jobs] sizes the worker pool (default
     [Parallel.default_domains ()], which honours [IQ_DOMAINS]); output
-    is deterministic regardless of job count. [pragmas:false] ignores
-    suppression comments (audit mode). *)
-
-val parse_cache_stats : unit -> int * int * float
-(** [(hits, misses, saved_seconds)] of the process-wide parsed-AST
-    cache: repeated lints of unchanged sources (multiple passes, test
-    suites, baseline rewrites) reuse the parse instead of re-running
-    it; [saved_seconds] is the wall time the cached parses originally
-    cost. Surfaced per run as the [parse-cache-saved] timings entry. *)
+    is deterministic regardless of job count. *)
 
 val lint_paths_timed :
   ?enabled:(string -> bool) ->
   ?jobs:int ->
-  ?pragmas:bool ->
   string list ->
   finding list * (string * float) list
 (** [lint_paths] plus per-pass wall times (pass name, seconds) in pass
@@ -133,9 +108,7 @@ val main : ?out:Format.formatter -> string list -> int
 (** CLI driver: [main args] (argv without the program name) prints
     findings to [out] and returns the exit code — 0 clean, 1 findings,
     2 usage error. Supports [--rules], [--disable], [--list-rules],
-    [--format text|json|sarif], [--baseline file] (budgeted per-file,
-    per-rule counts; growth past a budget is a ratchet failure),
-    [--write-baseline file], [--prune-baseline file] (cap budgets at
-    today's counts), [--jobs N], [--no-pragmas], [--timings],
-    [--explain rule-id], [--help]; default paths are
-    [lib bin bench examples test]. *)
+    [--timings], [--explain rule-id] and [--help]; default paths are
+    [lib bin bench examples test]. The worker pool has
+    [Parallel.default_domains ()] domains ([IQ_DOMAINS]). There is no
+    baseline: any unsuppressed finding fails the run. *)

@@ -213,85 +213,29 @@ let collect_sources paths =
   List.fold_left (fun acc p -> go p acc) [] paths
   |> List.sort_uniq String.compare
 
+(* compiler-libs' lexer and parser keep global mutable state; hold the
+   lock for the whole parse so the pool's workers stay safe. *)
 let parse_lock = Mutex.create ()
 
-(* compiler-libs' lexer and parser keep global mutable state; hold the
-   lock for the whole parse so [--jobs] stays safe. *)
-let parse_impl_locked ~file src =
-  let lexbuf = Lexing.from_string src in
-  Location.init lexbuf file;
-  Parse.implementation lexbuf
-
-let parse_intf_locked ~file src =
-  let lexbuf = Lexing.from_string src in
-  Location.init lexbuf file;
-  Parse.interface lexbuf
-
-let parse_impl ~file src =
-  Mutex.protect parse_lock (fun () -> parse_impl_locked ~file src)
-
-(* Parsed-AST cache. One [load] already parses each file exactly once,
-   but the driver is re-entered many times over the same tree (test
-   suite, editor loops, [--baseline-write] then lint), and every entry
-   used to pay a full re-parse per file. Keyed by content digest +
-   path + kind, so edits invalidate naturally; guarded by [parse_lock],
-   which the parse itself needs anyway. The saved wall-clock (the
-   original parse cost of every hit) is surfaced in [--timings] as the
-   [parse-cache-saved] entry. *)
-type cached_parse = {
-  cp_str : Parsetree.structure option;
-  cp_sg : Parsetree.signature option;
-  cp_failed : bool;
-  cp_seconds : float;
-}
-
-let parse_cache : (string, cached_parse) Hashtbl.t = Hashtbl.create 64
-let parse_hits = ref 0
-let parse_misses = ref 0
-let parse_saved = ref 0.0
-
-(* (hits, misses, seconds of parsing avoided) since process start. *)
-let parse_cache_stats () = (!parse_hits, !parse_misses, !parse_saved)
-
-let parse_cached ~path kind source =
-  let key =
-    Digest.to_hex (Digest.string source)
-    ^ (match kind with Impl -> ":i:" | Intf -> ":s:")
-    ^ path
-  in
+let parse_with parser ~file src =
   Mutex.protect parse_lock (fun () ->
-      match Hashtbl.find_opt parse_cache key with
-      | Some c ->
-          incr parse_hits;
-          parse_saved := !parse_saved +. c.cp_seconds;
-          (c.cp_str, c.cp_sg, c.cp_failed)
-      | None ->
-          incr parse_misses;
-          let t0 = Unix.gettimeofday () in
-          let str, sg, failed =
-            match kind with
-            | Impl -> (
-                match parse_impl_locked ~file:path source with
-                | ast -> (Some ast, None, false)
-                | exception (Syntaxerr.Error _ | Lexer.Error _) ->
-                    (None, None, true))
-            | Intf -> (
-                match parse_intf_locked ~file:path source with
-                | sg -> (None, Some sg, false)
-                | exception (Syntaxerr.Error _ | Lexer.Error _) ->
-                    (None, None, true))
-          in
-          let c =
-            {
-              cp_str = str;
-              cp_sg = sg;
-              cp_failed = failed;
-              cp_seconds = Unix.gettimeofday () -. t0;
-            }
-          in
-          if Hashtbl.length parse_cache > 4096 then Hashtbl.reset parse_cache;
-          Hashtbl.add parse_cache key c;
-          (str, sg, failed))
+      let lexbuf = Lexing.from_string src in
+      Location.init lexbuf file;
+      parser lexbuf)
+
+let parse_impl = parse_with Parse.implementation
+
+(* [(structure, signature, parse_failed)] for one source file. *)
+let parse ~path kind source =
+  match kind with
+  | Impl -> (
+      match parse_impl ~file:path source with
+      | ast -> (Some ast, None, false)
+      | exception (Syntaxerr.Error _ | Lexer.Error _) -> (None, None, true))
+  | Intf -> (
+      match parse_with Parse.interface ~file:path source with
+      | sg -> (None, Some sg, false)
+      | exception (Syntaxerr.Error _ | Lexer.Error _) -> (None, None, true))
 
 let modname_of_path path =
   Filename.basename path |> Filename.remove_extension
@@ -316,7 +260,7 @@ let load ~pool paths =
   let load_one (path, di) =
     let kind = if Filename.check_suffix path ".mli" then Intf else Impl in
     let source = try read_file path with Sys_error _ -> "" in
-    let str, sg, parse_failed = parse_cached ~path kind source in
+    let str, sg, parse_failed = parse ~path kind source in
     {
       path;
       modname = modname_of_path path;

@@ -1,26 +1,10 @@
-(* Findings, output formats and the CI baseline.
+(* Findings.
 
    One finding type is shared by the per-file rules and the
-   whole-program analyses. Three renderings: the classic
-   [file:line:col [rule] message] text lines, a machine-readable JSON
-   document, and SARIF 2.1.0 for CI annotation upload. The baseline is
-   a checked-in JSON file of per-(file, rule) finding counts: a run
-   with [--baseline] suppresses groups that are at-or-under their
-   budget, so legacy findings are tolerated but any new finding (or a
-   regression pushing a group over budget) fails the gate. Counts
-   rather than line numbers keep the baseline stable under unrelated
-   edits to the same file. *)
-
-(* A related location: a step of the witness path explaining the
-   finding (the mutation a missing bump orphans, the evaluation call a
-   missing budget check leaves unbounded, the open site of a leaked
-   handle). Rendered as SARIF [relatedLocations]. *)
-type related = {
-  rl_file : string;
-  rl_line : int;
-  rl_col : int;
-  rl_note : string;
-}
+   whole-program analyses, rendered as [file:line:col [rule] message]
+   lines. A finding that depends on a second location (the open site
+   of a leaked handle, the first of two closes) names that location's
+   line in its message. *)
 
 type finding = {
   file : string;
@@ -28,7 +12,6 @@ type finding = {
   col : int;
   rule : string;
   message : string;
-  related : related list;
 }
 
 let compare_finding a b =
@@ -44,7 +27,7 @@ let compare_finding a b =
 let pp_finding ppf f =
   Format.fprintf ppf "%s:%d:%d [%s] %s" f.file f.line f.col f.rule f.message
 
-let mk ?(related = []) ~file (loc : Location.t) rule message =
+let mk ~file (loc : Location.t) rule message =
   let p = loc.Location.loc_start in
   {
     file;
@@ -52,454 +35,7 @@ let mk ?(related = []) ~file (loc : Location.t) rule message =
     col = p.Lexing.pos_cnum - p.Lexing.pos_bol;
     rule;
     message;
-    related;
   }
 
-let rel ~file (loc : Location.t) note =
-  let p = loc.Location.loc_start in
-  {
-    rl_file = file;
-    rl_line = p.Lexing.pos_lnum;
-    rl_col = p.Lexing.pos_cnum - p.Lexing.pos_bol;
-    rl_note = note;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* JSON emission (stdlib-only; the toolchain has no JSON package)      *)
-(* ------------------------------------------------------------------ *)
-
-let json_escape buf s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s
-
-let add_str buf s =
-  Buffer.add_char buf '"';
-  json_escape buf s;
-  Buffer.add_char buf '"'
-
-type format = Text | Json | Sarif
-
-let format_of_string = function
-  | "text" -> Some Text
-  | "json" -> Some Json
-  | "sarif" -> Some Sarif
-  | _ -> None
-
-let render_text findings =
-  let buf = Buffer.create 256 in
-  List.iter
-    (fun f ->
-      Buffer.add_string buf
-        (Format.asprintf "%a" pp_finding f);
-      Buffer.add_char buf '\n')
-    findings;
-  Buffer.contents buf
-
-let add_finding_json buf f =
-  Buffer.add_string buf "    { \"file\": ";
-  add_str buf f.file;
-  Buffer.add_string buf (Printf.sprintf ", \"line\": %d, \"col\": %d, \"rule\": " f.line f.col);
-  add_str buf f.rule;
-  Buffer.add_string buf ", \"message\": ";
-  add_str buf f.message;
-  (* Witness path, omitted when empty so reports without one stay
-     byte-stable. *)
-  if f.related <> [] then begin
-    Buffer.add_string buf ", \"related\": [ ";
-    List.iteri
-      (fun i r ->
-        if i > 0 then Buffer.add_string buf ", ";
-        Buffer.add_string buf "{ \"file\": ";
-        add_str buf r.rl_file;
-        Buffer.add_string buf
-          (Printf.sprintf ", \"line\": %d, \"col\": %d, \"note\": " r.rl_line
-             r.rl_col);
-        add_str buf r.rl_note;
-        Buffer.add_string buf " }")
-      f.related;
-    Buffer.add_string buf " ]"
-  end;
-  Buffer.add_string buf " }"
-
-(* [timings]: per-pass wall times in seconds from a [--timings] run. *)
-let render_json ?(timings = []) findings =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n  \"tool\": \"iqlint\",\n  \"schema\": 1,\n";
-  if timings <> [] then begin
-    Buffer.add_string buf "  \"timings_ms\": {";
-    List.iteri
-      (fun i (pass, secs) ->
-        if i > 0 then Buffer.add_char buf ',';
-        Buffer.add_string buf "\n    ";
-        add_str buf pass;
-        Buffer.add_string buf (Printf.sprintf ": %.3f" (secs *. 1000.)))
-      timings;
-    Buffer.add_string buf "\n  },\n"
-  end;
-  Buffer.add_string buf
-    (Printf.sprintf "  \"count\": %d,\n  \"findings\": [\n" (List.length findings));
-  List.iteri
-    (fun i f ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      add_finding_json buf f)
-    findings;
-  if findings <> [] then Buffer.add_char buf '\n';
-  Buffer.add_string buf "  ]\n}\n";
-  Buffer.contents buf
-
-(* SARIF 2.1.0 — the minimal subset GitHub code scanning accepts:
-   tool.driver with rule metadata, plus one result per finding.
-   Columns are 1-based in SARIF; our [col] is 0-based. *)
-let render_sarif ~rules findings =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf
-    "{\n\
-    \  \"$schema\": \"https://json.schemastore.org/sarif-2.1.0.json\",\n\
-    \  \"version\": \"2.1.0\",\n\
-    \  \"runs\": [\n\
-    \    {\n\
-    \      \"tool\": {\n\
-    \        \"driver\": {\n\
-    \          \"name\": \"iqlint\",\n\
-    \          \"rules\": [\n";
-  let rules = List.sort (fun (a, _) (b, _) -> String.compare a b) rules in
-  List.iteri
-    (fun i (id, doc) ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf "            { \"id\": ";
-      add_str buf id;
-      Buffer.add_string buf ", \"shortDescription\": { \"text\": ";
-      add_str buf doc;
-      Buffer.add_string buf " } }")
-    rules;
-  Buffer.add_string buf
-    "\n          ]\n        }\n      },\n      \"results\": [\n";
-  List.iteri
-    (fun i f ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf "        { \"ruleId\": ";
-      add_str buf f.rule;
-      Buffer.add_string buf ", \"level\": \"error\", \"message\": { \"text\": ";
-      add_str buf f.message;
-      Buffer.add_string buf
-        " }, \"locations\": [ { \"physicalLocation\": { \"artifactLocation\": { \"uri\": ";
-      add_str buf f.file;
-      Buffer.add_string buf
-        (Printf.sprintf
-           " }, \"region\": { \"startLine\": %d, \"startColumn\": %d } } } ]"
-           f.line (f.col + 1));
-      if f.related <> [] then begin
-        Buffer.add_string buf ", \"relatedLocations\": [ ";
-        List.iteri
-          (fun j r ->
-            if j > 0 then Buffer.add_string buf ", ";
-            Buffer.add_string buf "{ \"physicalLocation\": { \"artifactLocation\": { \"uri\": ";
-            add_str buf r.rl_file;
-            Buffer.add_string buf
-              (Printf.sprintf
-                 " }, \"region\": { \"startLine\": %d, \"startColumn\": %d } }, \
-                  \"message\": { \"text\": "
-                 r.rl_line (r.rl_col + 1));
-            add_str buf r.rl_note;
-            Buffer.add_string buf " } }")
-          f.related;
-        Buffer.add_string buf " ]"
-      end;
-      Buffer.add_string buf " }")
-    findings;
-  if findings <> [] then Buffer.add_char buf '\n';
-  Buffer.add_string buf "      ]\n    }\n  ]\n}\n";
-  Buffer.contents buf
-
-let render ?timings ~rules format findings =
-  match format with
-  | Text -> render_text findings
-  | Json -> render_json ?timings findings
-  | Sarif -> render_sarif ~rules findings
-
-(* ------------------------------------------------------------------ *)
-(* Minimal JSON parser (for the baseline file only)                    *)
-(* ------------------------------------------------------------------ *)
-
-type json =
-  | J_obj of (string * json) list
-  | J_arr of json list
-  | J_str of string
-  | J_num of float
-  | J_bool of bool
-  | J_null
-
-exception Bad_json of string
-
-let parse_json src =
-  let n = String.length src in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some src.[!pos] else None in
-  let advance () = incr pos in
-  let fail msg = raise (Bad_json (Printf.sprintf "%s at offset %d" msg !pos)) in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected '%c'" c)
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' -> (
-          advance ();
-          match peek () with
-          | Some '"' -> Buffer.add_char buf '"'; advance (); go ()
-          | Some '\\' -> Buffer.add_char buf '\\'; advance (); go ()
-          | Some '/' -> Buffer.add_char buf '/'; advance (); go ()
-          | Some 'n' -> Buffer.add_char buf '\n'; advance (); go ()
-          | Some 't' -> Buffer.add_char buf '\t'; advance (); go ()
-          | Some 'r' -> Buffer.add_char buf '\r'; advance (); go ()
-          | Some 'u' ->
-              (* \uXXXX: keep ASCII, replace the rest — the baseline
-                 schema never needs non-ASCII escapes. *)
-              advance ();
-              if !pos + 4 > n then fail "bad \\u escape";
-              let hex = String.sub src !pos 4 in
-              pos := !pos + 4;
-              (match int_of_string_opt ("0x" ^ hex) with
-              | Some code when code < 0x80 -> Buffer.add_char buf (Char.chr code)
-              | Some _ -> Buffer.add_char buf '?'
-              | None -> fail "bad \\u escape");
-              go ()
-          | _ -> fail "bad escape")
-      | Some c ->
-          Buffer.add_char buf c;
-          advance ();
-          go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '"' -> J_str (parse_string ())
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then (advance (); J_obj [])
-        else
-          let rec members acc =
-            skip_ws ();
-            let key = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' -> advance (); members ((key, v) :: acc)
-            | Some '}' -> advance (); List.rev ((key, v) :: acc)
-            | _ -> fail "expected ',' or '}'"
-          in
-          J_obj (members [])
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then (advance (); J_arr [])
-        else
-          let rec elems acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' -> advance (); elems (v :: acc)
-            | Some ']' -> advance (); List.rev (v :: acc)
-            | _ -> fail "expected ',' or ']'"
-          in
-          J_arr (elems [])
-    | Some 't' ->
-        if !pos + 4 <= n && String.sub src !pos 4 = "true" then (
-          pos := !pos + 4;
-          J_bool true)
-        else fail "bad literal"
-    | Some 'f' ->
-        if !pos + 5 <= n && String.sub src !pos 5 = "false" then (
-          pos := !pos + 5;
-          J_bool false)
-        else fail "bad literal"
-    | Some 'n' ->
-        if !pos + 4 <= n && String.sub src !pos 4 = "null" then (
-          pos := !pos + 4;
-          J_null)
-        else fail "bad literal"
-    | Some c when c = '-' || (c >= '0' && c <= '9') ->
-        let start = !pos in
-        let num_char c =
-          (c >= '0' && c <= '9')
-          || c = '-' || c = '+' || c = '.' || c = 'e' || c = 'E'
-        in
-        while (match peek () with Some c when num_char c -> true | _ -> false) do
-          advance ()
-        done;
-        (match float_of_string_opt (String.sub src start (!pos - start)) with
-        | Some f -> J_num f
-        | None -> fail "bad number")
-    | _ -> fail "unexpected character"
-  in
-  match
-    let v = parse_value () in
-    skip_ws ();
-    if !pos <> n then fail "trailing garbage";
-    v
-  with
-  | v -> Ok v
-  | exception Bad_json msg -> Error msg
-
-(* ------------------------------------------------------------------ *)
-(* Baseline                                                            *)
-(* ------------------------------------------------------------------ *)
-
-type baseline_entry = { b_file : string; b_rule : string; b_count : int }
-
-let load_baseline path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error msg -> Error msg
-  | src -> (
-      match parse_json src with
-      | Error msg -> Error (Printf.sprintf "%s: invalid JSON (%s)" path msg)
-      | Ok (J_obj fields) -> (
-          match List.assoc_opt "entries" fields with
-          | Some (J_arr entries) -> (
-              let entry = function
-                | J_obj ef -> (
-                    match
-                      ( List.assoc_opt "file" ef,
-                        List.assoc_opt "rule" ef,
-                        List.assoc_opt "count" ef )
-                    with
-                    | Some (J_str f), Some (J_str r), Some (J_num c) ->
-                        Some { b_file = f; b_rule = r; b_count = int_of_float c }
-                    | _ -> None)
-                | _ -> None
-              in
-              match List.map entry entries with
-              | parsed when List.for_all Option.is_some parsed ->
-                  Ok (List.filter_map Fun.id parsed)
-              | _ ->
-                  Error
-                    (path
-                   ^ ": every entry needs \"file\", \"rule\" and \"count\""))
-          | _ -> Error (path ^ ": missing \"entries\" array"))
-      | Ok _ -> Error (path ^ ": expected a JSON object"))
-
-(* Group budget semantics: a (file, rule) group at or under its
-   baselined count is suppressed entirely; a group over budget is
-   reported entirely (we cannot tell which member is the new one). *)
-let group_counts findings =
-  let counts = Hashtbl.create 32 in
-  List.iter
-    (fun f ->
-      let key = (f.file, f.rule) in
-      Hashtbl.replace counts key
-        (1 + Option.value (Hashtbl.find_opt counts key) ~default:0))
-    findings;
-  counts
-
-let budget_of entries file rule =
-  List.fold_left
-    (fun acc e ->
-      if e.b_file = file && e.b_rule = rule then acc + e.b_count else acc)
-    0 entries
-
-let apply_baseline entries findings =
-  let counts = group_counts findings in
-  List.filter
-    (fun f ->
-      Option.value (Hashtbl.find_opt counts (f.file, f.rule)) ~default:0
-      > budget_of entries f.file f.rule)
-    findings
-
-(* The ratchet report: every (file, rule) group whose current count
-   exceeds its baselined budget, as (file, rule, budget, current). A
-   group absent from the baseline has budget 0, so brand-new findings
-   regress too. *)
-let baseline_regressions entries findings =
-  let counts = group_counts findings in
-  Hashtbl.fold
-    (fun (file, rule) count acc ->
-      let b = budget_of entries file rule in
-      if count > b then (file, rule, b, count) :: acc else acc)
-    counts []
-  |> List.sort compare
-
-(* Ratchet downward: cap every baselined budget at the count the rule
-   actually produces today and drop groups that no longer fire at all.
-   Counts never grow here — growth is a gate failure, not a baseline
-   update. *)
-let prune_entries entries findings =
-  let counts = group_counts findings in
-  List.filter_map
-    (fun e ->
-      let current =
-        Option.value (Hashtbl.find_opt counts (e.b_file, e.b_rule)) ~default:0
-      in
-      let capped = min e.b_count current in
-      if capped <= 0 then None else Some { e with b_count = capped })
-    entries
-  |> List.sort_uniq compare
-
-let entries_json ?(note = "") entries =
-  let entries =
-    List.sort compare
-      (List.map (fun e -> (e.b_file, e.b_rule, e.b_count)) entries)
-  in
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf "{\n  \"version\": 1,\n";
-  if note <> "" then begin
-    Buffer.add_string buf "  \"note\": ";
-    add_str buf note;
-    Buffer.add_string buf ",\n"
-  end;
-  Buffer.add_string buf "  \"entries\": [\n";
-  List.iteri
-    (fun i (file, rule, count) ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf "    { \"file\": ";
-      add_str buf file;
-      Buffer.add_string buf ", \"rule\": ";
-      add_str buf rule;
-      Buffer.add_string buf (Printf.sprintf ", \"count\": %d }" count))
-    entries;
-  if entries <> [] then Buffer.add_char buf '\n';
-  Buffer.add_string buf "  ]\n}\n";
-  Buffer.contents buf
-
-let baseline_json ?note findings =
-  let counts = group_counts findings in
-  let entries =
-    Hashtbl.fold
-      (fun (file, rule) count acc ->
-        { b_file = file; b_rule = rule; b_count = count } :: acc)
-      counts []
-  in
-  entries_json ?note entries
+(* 1-based line of a location, for messages that cite a second site. *)
+let line_of (loc : Location.t) = loc.Location.loc_start.Lexing.pos_lnum

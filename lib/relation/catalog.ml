@@ -14,8 +14,6 @@ let add t name table =
     invalid_arg ("Catalog.add: table exists: " ^ name);
   Hashtbl.add t.tables k table
 
-let replace t name table = Hashtbl.replace t.tables (key name) table
-
 let drop t name =
   let k = key name in
   let existed = Hashtbl.mem t.tables k in
@@ -30,9 +28,6 @@ let drop t name =
   existed
 
 let find t name = Hashtbl.find_opt t.tables (key name)
-
-let find_exn t name =
-  match find t name with Some tbl -> tbl | None -> raise Not_found
 
 let names t =
   Hashtbl.fold (fun k _ acc -> k :: acc) t.tables []

@@ -7,14 +7,9 @@ val create : unit -> t
 val add : t -> string -> Table.t -> unit
 (** @raise Invalid_argument when the (case-insensitive) name exists. *)
 
-val replace : t -> string -> Table.t -> unit
-
 val drop : t -> string -> bool
 
 val find : t -> string -> Table.t option
-
-val find_exn : t -> string -> Table.t
-(** @raise Not_found *)
 
 val names : t -> string list
 (** Sorted table names. *)

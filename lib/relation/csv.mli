@@ -5,9 +5,6 @@ val parse_line : string -> string list
 (** Split one CSV record; supports double-quoted fields with embedded
     commas and escaped quotes. *)
 
-val parse_string : string -> string list list
-(** Parse a whole document (splitting on newlines outside quotes). *)
-
 val render_line : string list -> string
 
 val table_of_string : ?header:bool -> string -> Table.t

@@ -20,21 +20,5 @@ let columns t = Array.to_list t.cols
 let arity t = Array.length t.cols
 let index_of t name = Hashtbl.find_opt t.by_name (key name)
 
-let index_of_exn t name =
-  match index_of t name with Some i -> i | None -> raise Not_found
-
 let column_at t i = t.cols.(i)
 let names t = List.map (fun c -> c.name) (columns t)
-
-let equal a b =
-  arity a = arity b
-  && Array.for_all2
-       (fun c1 c2 -> key c1.name = key c2.name && c1.ty = c2.ty)
-       a.cols b.cols
-
-let pp ppf t =
-  Format.fprintf ppf "(%a)"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
-       (fun ppf c -> Format.fprintf ppf "%s %s" c.name (Value.ty_name c.ty)))
-    (columns t)

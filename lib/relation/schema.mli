@@ -14,13 +14,6 @@ val arity : t -> int
 val index_of : t -> string -> int option
 (** Case-insensitive column lookup. *)
 
-val index_of_exn : t -> string -> int
-(** @raise Not_found *)
-
 val column_at : t -> int -> column
 
 val names : t -> string list
-
-val equal : t -> t -> bool
-
-val pp : Format.formatter -> t -> unit

@@ -79,11 +79,6 @@ let fold t ~init ~f =
 
 let to_list t = List.rev (fold t ~init:[] ~f:(fun acc r -> r :: acc))
 
-let of_rows schema rows =
-  let t = create schema in
-  List.iter (insert t) rows;
-  t
-
 let to_points t cols =
   let idx =
     List.map
@@ -118,16 +113,3 @@ let of_points ?(prefix = "a") points =
     (fun p -> insert t (Array.map (fun x -> Value.Float x) p))
     points;
   t
-
-let copy t =
-  { schema = t.schema; rows = Array.map Array.copy t.rows; len = t.len }
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>%a@," Schema.pp t.schema;
-  iter t (fun row ->
-      Format.fprintf ppf "| %a@,"
-        (Format.pp_print_list
-           ~pp_sep:(fun ppf () -> Format.fprintf ppf " | ")
-           Value.pp)
-        (Array.to_list row));
-  Format.fprintf ppf "@]"

@@ -30,11 +30,7 @@ val iter : t -> (row -> unit) -> unit
 
 val iteri : t -> (int -> row -> unit) -> unit
 
-val fold : t -> init:'a -> f:('a -> row -> 'a) -> 'a
-
 val to_list : t -> row list
-
-val of_rows : Schema.t -> row list -> t
 
 val to_points : t -> string list -> Geom.Vec.t array
 (** [to_points t cols] extracts the named numeric columns as points,
@@ -45,7 +41,3 @@ val of_points :
   ?prefix:string -> Geom.Vec.t array -> t
 (** Build a table with columns [prefix0 .. prefix(d-1)] (default prefix
     ["a"]) from a point cloud; used by generators and examples. *)
-
-val copy : t -> t
-
-val pp : Format.formatter -> t -> unit

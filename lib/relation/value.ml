@@ -58,9 +58,6 @@ let to_bool = function
   | Float f -> Some (f <> 0.)
   | Null | Text _ -> None
 
-let of_float f = Float f
-let of_int i = Int i
-
 let of_string_typed ty s =
   let s = String.trim s in
   if s = "" then Null

@@ -29,10 +29,6 @@ val to_bool : t -> bool option
 (** SQL truthiness: [Bool b]; nonzero numerics are true; [None] for
     [Null] and text. *)
 
-val of_float : float -> t
-
-val of_int : int -> t
-
 val of_string_typed : ty -> string -> t
 (** Parse a literal of the given type; empty string parses to [Null].
     @raise Failure on malformed input. *)

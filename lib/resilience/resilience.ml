@@ -104,13 +104,6 @@ module Budget = struct
 
   let live t = match check t with None -> true | Some _ -> false
   let tripped t = Atomic.get t.trip
-
-  let trip_to_string = function
-    | Deadline { elapsed_ms } ->
-        Printf.sprintf "deadline exceeded after %.1f ms" elapsed_ms
-    | Steps { used; limit } ->
-        Printf.sprintf "step budget exhausted (%d of %d)" used limit
-    | Cancelled -> "cancelled"
 end
 
 module Fault = struct

@@ -83,8 +83,6 @@ module Budget : sig
 
   val tripped : t -> trip option
   (** The recorded trip, without re-checking limits. *)
-
-  val trip_to_string : trip -> string
 end
 
 (** Deterministic fault injection: a seeded schedule of failures that

@@ -22,7 +22,6 @@ let create ?min_entries ?(max_entries = 16) ~dim () =
   if dim < 1 then invalid_arg "Rtree.create: dim < 1";
   { dims = dim; min_entries; max_entries; root = None; count = 0 }
 
-let dim t = t.dims
 let size t = t.count
 
 let rec node_height n =

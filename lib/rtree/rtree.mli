@@ -16,8 +16,6 @@ val create : ?min_entries:int -> ?max_entries:int -> dim:int -> unit -> 'a t
     [max_entries / 2 |> max 2].
     @raise Invalid_argument on nonsensical fan-out bounds. *)
 
-val dim : 'a t -> int
-
 val size : 'a t -> int
 (** Number of stored entries. *)
 
@@ -26,8 +24,6 @@ val height : 'a t -> int
 
 val node_count : 'a t -> int
 (** Total directory + leaf nodes; proxies the index's memory footprint. *)
-
-val insert : 'a t -> Box.t -> 'a -> unit
 
 val insert_point : 'a t -> Vec.t -> 'a -> unit
 (** [insert tree (Box.of_point p) v]. *)
@@ -55,8 +51,6 @@ val search_pred :
 val nearest : 'a t -> Vec.t -> int -> (float * Box.t * 'a) list
 (** [nearest t q k]: the [k] entries closest to [q] (squared Euclidean
     distance from box), nearest first. *)
-
-val iter : 'a t -> (Box.t -> 'a -> unit) -> unit
 
 val fold : 'a t -> init:'acc -> f:('acc -> Box.t -> 'a -> 'acc) -> 'acc
 

@@ -23,23 +23,7 @@ let create ?(max_entries = 16) ?(max_overlap = 0.2) ~dim () =
   if dim < 1 then invalid_arg "Xtree.create: dim < 1";
   { dims = dim; max_entries; max_overlap; root = None; count = 0 }
 
-let dim t = t.dims
 let size t = t.count
-
-let rec node_height n =
-  match n.kind with
-  | Leaf _ -> 1
-  | Internal (c :: _) -> 1 + node_height c
-  | Internal [] -> 1
-
-let height t = match t.root with None -> 0 | Some r -> node_height r
-
-let rec nodes_in n =
-  match n.kind with
-  | Leaf _ -> 1
-  | Internal cs -> 1 + List.fold_left (fun acc c -> acc + nodes_in c) 0 cs
-
-let node_count t = match t.root with None -> 0 | Some r -> nodes_in r
 
 let rec supernodes_in n =
   match n.kind with

@@ -24,18 +24,10 @@ val create :
     threshold, as a fraction of the split halves' area) to 0.2.
     @raise Invalid_argument on nonsensical parameters. *)
 
-val dim : 'a t -> int
-
 val size : 'a t -> int
-
-val height : 'a t -> int
-
-val node_count : 'a t -> int
 
 val supernode_count : 'a t -> int
 (** How many directory nodes ended up as supernodes. *)
-
-val insert : 'a t -> Box.t -> 'a -> unit
 
 val insert_point : 'a t -> Vec.t -> 'a -> unit
 

@@ -178,8 +178,6 @@ let rec eval ~schema ~row expr =
       let isnull = Value.is_null (eval ~schema ~row e) in
       Value.Bool (if negated then not isnull else isnull)
 
-let eval_scalar ~schema ~row expr = eval ~schema ~row expr
-
 let truthy ~schema ~row expr =
   match Value.to_bool (eval ~schema ~row expr) with
   | Some b -> b

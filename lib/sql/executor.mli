@@ -12,9 +12,6 @@ type result =
   | Affected of int  (** INSERT / UPDATE / DELETE row counts *)
   | Done  (** DDL *)
 
-val execute : Relation.Catalog.t -> Ast.statement -> result
-(** @raise Error on unknown tables/columns or type errors. *)
-
 val query : Relation.Catalog.t -> string -> result
 (** Parse then execute one statement. *)
 
@@ -22,16 +19,5 @@ val query_rows :
   Relation.Catalog.t -> string -> string list * Relation.Value.t array list
 (** Like {!query} but insists the statement is row-returning.
     @raise Error otherwise. *)
-
-val eval_scalar :
-  schema:Relation.Schema.t -> row:Relation.Value.t array -> Ast.expr ->
-  Relation.Value.t
-(** Evaluate a non-aggregate expression against a single row; exposed
-    for the analytic tool's cost-expression snippets.
-    @raise Error on aggregates or unknown columns. *)
-
-val explain : Relation.Catalog.t -> Ast.statement -> string list
-(** The textual plan EXPLAIN returns, one line per pipeline stage, with
-    cardinality and sargability annotations. *)
 
 val pp_result : Format.formatter -> result -> unit

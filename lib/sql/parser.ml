@@ -496,20 +496,6 @@ let parse input =
   | t -> fail "trailing input: %a" Lexer.pp_token t);
   stmt
 
-let parse_many input =
-  let st = { toks = Lexer.tokenize input } in
-  let rec go acc =
-    match peek st with
-    | Lexer.EOF -> List.rev acc
-    | Lexer.SEMI ->
-        advance st;
-        go acc
-    | _ ->
-        let s = parse_statement st in
-        go (s :: acc)
-  in
-  go []
-
 let parse_expr input =
   let st = { toks = Lexer.tokenize input } in
   let e = parse_or st in

@@ -6,9 +6,6 @@ val parse : string -> Ast.statement
 (** Parse a single statement (optional trailing semicolon).
     @raise Error on syntax errors. *)
 
-val parse_many : string -> Ast.statement list
-(** Parse a semicolon-separated script. *)
-
 val parse_expr : string -> Ast.expr
 (** Parse a standalone expression (used for cost-function and predicate
     snippets in the analytic tool). *)

@@ -5,9 +5,6 @@
     agree on results. The dataset is an array of feature vectors; object
     ids are array indices. *)
 
-val score : Geom.Vec.t array -> weights:Geom.Vec.t -> int -> float
-(** Score of object [id]. *)
-
 val top_k : Geom.Vec.t array -> weights:Geom.Vec.t -> k:int -> int list
 (** The [k] best (lowest-scoring) object ids, best first. One bounded
     selection over unboxed score/id buffers for every [k]: O(n) scoring

@@ -85,6 +85,3 @@ let top_k t ~data ~weights ~k =
     | (_, id) :: rest -> id :: take (n - 1) rest
   in
   take k sorted
-
-let size_words t =
-  Array.length t.layer_of + (2 * Array.length t.layers)

@@ -32,5 +32,3 @@ val top_k : t -> data:Geom.Vec.t array -> weights:Geom.Vec.t -> k:int -> int lis
     arbitrary weights; the dominance fallback requires non-negative
     weights. Agrees with {!Eval.top_k}.
     @raise Invalid_argument on negative weights in fallback mode. *)
-
-val size_words : t -> int

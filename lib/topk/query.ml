@@ -3,9 +3,3 @@ type t = { weights : Geom.Vec.t; k : int; id : int }
 let make ?(id = -1) ~k weights =
   if k <= 0 then invalid_arg "Query.make: k <= 0";
   { weights; k; id }
-
-let point q = q.weights
-let dim q = Geom.Vec.dim q.weights
-
-let pp ppf q =
-  Format.fprintf ppf "q%d{k=%d; w=%a}" q.id q.k Geom.Vec.pp q.weights

@@ -5,11 +5,3 @@ type t = { weights : Geom.Vec.t; k : int; id : int }
 
 val make : ?id:int -> k:int -> Geom.Vec.t -> t
 (** @raise Invalid_argument when [k <= 0]. *)
-
-val point : t -> Geom.Vec.t
-(** The query seen as a point of the weight domain — the object of the
-    paper's "treat each top-k query as an input to the functions". *)
-
-val dim : t -> int
-
-val pp : Format.formatter -> t -> unit

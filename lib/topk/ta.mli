@@ -11,8 +11,6 @@ type t
 
 val build : Geom.Vec.t array -> t
 
-val dim : t -> int
-
 val top_k : t -> weights:Geom.Vec.t -> k:int -> int list
 (** @raise Invalid_argument on negative weights or arity mismatch. *)
 

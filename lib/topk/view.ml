@@ -77,6 +77,3 @@ let top_k_stats t ~weights ~k =
   end
 
 let top_k t ~weights ~k = fst (top_k_stats t ~weights ~k)
-
-let size_words t =
-  Array.fold_left (fun acc v -> acc + (2 * Array.length v.order)) 0 t.views

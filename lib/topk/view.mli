@@ -22,5 +22,3 @@ val top_k : t -> weights:Geom.Vec.t -> k:int -> int list
 
 val top_k_stats : t -> weights:Geom.Vec.t -> k:int -> int list * int
 (** Also reports how many view entries were scanned. *)
-
-val size_words : t -> int

@@ -84,9 +84,6 @@ let table_of points names =
 let vehicle_table rng ?n () =
   table_of (vehicle rng ?n ()) [ "year"; "weight"; "horsepower"; "mpg"; "annual_cost" ]
 
-let house_table rng ?n () =
-  table_of (house rng ?n ()) [ "house_value"; "income"; "persons"; "mortgage" ]
-
 let kind_name = function
   | Independent -> "IN"
   | Correlated -> "CO"

@@ -25,6 +25,4 @@ val vehicle_table : Rng.t -> ?n:int -> unit -> Relation.Table.t
 (** The VEHICLE stand-in as a relational table (named columns), for the
     SQL-integration examples. *)
 
-val house_table : Rng.t -> ?n:int -> unit -> Relation.Table.t
-
 val kind_name : kind -> string

@@ -346,11 +346,53 @@ let test_checkpoint_rejects_nonlinear () =
   in
   let inst = Instance.create ~utility ~data ~queries () in
   let e = engine inst in
-  match Checkpoint.of_snapshot (Engine.snapshot e) with
-  | exception Invalid_argument msg ->
-      Alcotest.(check bool) "says why" true
-        (String.length msg > 0)
-  | _ -> Alcotest.fail "non-linear utility checkpointed"
+  match Checkpoint.check (Engine.snapshot e) with
+  | Error (Engine.Error.Not_checkpointable name) ->
+      Alcotest.(check string) "names the utility" utility.Topk.Utility.name name
+  | Error err ->
+      Alcotest.failf "unexpected error class: %s" (Engine.Error.to_string err)
+  | Ok () -> Alcotest.fail "non-linear utility checkpointed"
+
+(* A Sec. 5.2/5.3 engine in the shape of examples/car_nonlinear.ml:
+   two custom feature families joined by [Nonlinear.generic], queries
+   embedded per family. Attaching it is a typed error, and nothing is
+   written to the directory. *)
+let test_attach_rejects_nonlinear () =
+  let rng = Workload.Rng.make 99 in
+  let data =
+    Array.init 40 (fun _ ->
+        Array.init 3 (fun _ -> Workload.Rng.uniform_in rng 0.2 1.0))
+  in
+  let family_u =
+    Topk.Utility.custom ~name:"eq19" ~dim_in:3
+      [ Topk.Utility.sqrt_term 0; (fun c -> c.(2) /. c.(1)) ]
+  in
+  let family_v =
+    Topk.Utility.custom ~name:"eq26" ~dim_in:3
+      [ (fun c -> c.(1) /. c.(0)); (fun c -> c.(2) ** 2.) ]
+  in
+  let families = [ family_u; family_v ] in
+  let queries =
+    List.init 12 (fun i ->
+        Nonlinear.embed_query ~families ~family:(i mod 2)
+          (Topk.Query.make ~id:i ~k:(1 + (i mod 4)) [| 0.4; 0.6 |]))
+  in
+  let inst =
+    Instance.create ~utility:(Nonlinear.generic families) ~data ~queries ()
+  in
+  let e = engine inst in
+  let dir = fresh_dir () in
+  (match Store.attach ~dir e with
+  | Error (Engine.Error.Not_checkpointable _ as err) ->
+      Alcotest.(check bool) "typed error renders" true
+        (String.length (Engine.Error.to_string err) > 0)
+  | Error err ->
+      Alcotest.failf "unexpected error class: %s" (Engine.Error.to_string err)
+  | Ok store ->
+      Store.detach store;
+      Alcotest.fail "non-linear engine attached");
+  Alcotest.(check bool) "no checkpoint written" false
+    (Sys.file_exists (Checkpoint.path_in dir))
 
 let test_checkpoint_read_errors () =
   let dir = fresh_dir () in
@@ -853,6 +895,8 @@ let suite =
       `Quick test_checkpoint_size_bounded;
     Alcotest.test_case "checkpoint rejects non-linear utilities" `Quick
       test_checkpoint_rejects_nonlinear;
+    Alcotest.test_case "store attach rejects non-linear engines" `Quick
+      test_attach_rejects_nonlinear;
     Alcotest.test_case "checkpoint read errors are typed" `Quick
       test_checkpoint_read_errors;
     Alcotest.test_case "store attach, stats and explicit checkpoint" `Quick

@@ -331,11 +331,17 @@ let rm_project dir =
   Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
   Sys.rmdir dir
 
-let lint_project ?jobs ?pragmas files =
+let lint_project files =
   let dir = write_project files in
   Fun.protect
     ~finally:(fun () -> rm_project dir)
-    (fun () -> Lint.lint_paths ?jobs ?pragmas [ dir ])
+    (fun () -> Lint.lint_paths [ dir ])
+
+(* The text report of a whole-program lint run with [jobs] workers. *)
+let lint_text ~jobs dir =
+  Lint.lint_paths ~jobs [ dir ]
+  |> List.map (Format.asprintf "%a" Lint.pp_finding)
+  |> String.concat "\n"
 
 let by_rule rule fs =
   List.filter (fun (f : Lint.finding) -> f.Lint.rule = rule) fs
@@ -513,7 +519,7 @@ let test_engine_boundary_fixed_by_guard () =
   Alcotest.check rules_t "result-wrapper entry points are clean" []
     (rules (by_rule "engine-boundary-raise" fs))
 
-(* ------------------------- output formats ------------------------ *)
+(* ------------------------- findings ------------------------------ *)
 
 let one_finding =
   {
@@ -522,7 +528,6 @@ let one_finding =
     col = 4;
     rule = "dead-export";
     message = "msg with \"quotes\"";
-    related = [];
   }
 
 let test_finding_pp_and_order () =
@@ -534,59 +539,6 @@ let test_finding_pp_and_order () =
     (Lint.compare_finding earlier one_finding < 0);
   Alcotest.(check int) "compare_finding is reflexive" 0
     (Lint.compare_finding one_finding one_finding)
-
-let test_json_golden () =
-  let expected =
-    String.concat ""
-      [
-        "{\n  \"tool\": \"iqlint\",\n  \"schema\": 1,\n";
-        "  \"count\": 1,\n  \"findings\": [\n";
-        "    { \"file\": \"lib/a.ml\", \"line\": 3, \"col\": 4, ";
-        "\"rule\": \"dead-export\", ";
-        "\"message\": \"msg with \\\"quotes\\\"\" }\n";
-        "  ]\n}\n";
-      ]
-  in
-  Alcotest.(check string) "json golden" expected
-    (Lint.render Lint.Json [ one_finding ])
-
-let test_sarif_golden () =
-  let rules_block =
-    Lint.all_rules
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-    |> List.map (fun (id, doc) ->
-           Printf.sprintf
-             "            { \"id\": \"%s\", \"shortDescription\": { \"text\": \
-              \"%s\" } }"
-             id doc)
-    |> String.concat ",\n"
-  in
-  let result_line =
-    String.concat ""
-      [
-        "        { \"ruleId\": \"dead-export\", \"level\": \"error\", ";
-        "\"message\": { \"text\": \"msg with \\\"quotes\\\"\" }, ";
-        "\"locations\": [ { \"physicalLocation\": { ";
-        "\"artifactLocation\": { \"uri\": \"lib/a.ml\" }, ";
-        "\"region\": { \"startLine\": 3, \"startColumn\": 5 } } } ] }";
-      ]
-  in
-  let expected =
-    String.concat ""
-      [
-        "{\n";
-        "  \"$schema\": \"https://json.schemastore.org/sarif-2.1.0.json\",\n";
-        "  \"version\": \"2.1.0\",\n";
-        "  \"runs\": [\n    {\n      \"tool\": {\n        \"driver\": {\n";
-        "          \"name\": \"iqlint\",\n          \"rules\": [\n";
-        rules_block;
-        "\n          ]\n        }\n      },\n      \"results\": [\n";
-        result_line;
-        "\n      ]\n    }\n  ]\n}\n";
-      ]
-  in
-  Alcotest.(check string) "sarif golden (1-based startColumn)" expected
-    (Lint.render Lint.Sarif [ one_finding ])
 
 let test_jobs_deterministic () =
   let dir =
@@ -601,11 +553,9 @@ let test_jobs_deterministic () =
   Fun.protect
     ~finally:(fun () -> rm_project dir)
     (fun () ->
-      let c1, o1 = run_main [ "--jobs"; "1"; "--format"; "json"; dir ] in
-      let c4, o4 = run_main [ "--jobs"; "4"; "--format"; "json"; dir ] in
-      Alcotest.(check int) "same exit code" c1 c4;
-      Alcotest.(check bool) "found something" true (c1 = 1);
-      Alcotest.(check string) "--jobs 4 output byte-identical to --jobs 1" o1 o4)
+      let o1 = lint_text ~jobs:1 dir and o4 = lint_text ~jobs:4 dir in
+      Alcotest.(check bool) "found something" true (o1 <> "");
+      Alcotest.(check string) "jobs:4 output byte-identical to jobs:1" o1 o4)
 
 (* ------------------------- pragma granularity -------------------- *)
 
@@ -636,60 +586,6 @@ let a l = List.hd l
   in
   Alcotest.check rules_t "scan stops at the first non-rule token"
     [ "partial-function" ] (rules fs)
-
-let test_no_pragmas_flag () =
-  let path =
-    write_fixture "(* iqlint: allow partial-function *)\nlet a l = List.hd l\n"
-  in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      let code, _ = run_main [ path ] in
-      Alcotest.(check int) "pragma honored by default" 0 code;
-      let code, output = run_main [ "--no-pragmas"; path ] in
-      Alcotest.(check int) "--no-pragmas audits through it" 1 code;
-      Alcotest.(check bool) "and reports the finding" true
-        (contains output "[partial-function]"))
-
-(* ------------------------- baseline ------------------------------ *)
-
-let test_baseline_gate () =
-  let path = write_fixture "let bad x = x = 0.0\n" in
-  let bl = Filename.temp_file "iqlint_baseline" ".json" in
-  Fun.protect
-    ~finally:(fun () ->
-      Sys.remove path;
-      Sys.remove bl)
-    (fun () ->
-      let code, output = run_main [ "--write-baseline"; bl; path ] in
-      Alcotest.(check int) "--write-baseline exits 0" 0 code;
-      Alcotest.(check bool) "acknowledges the write" true
-        (contains output "wrote baseline");
-      let code, output = run_main [ "--baseline"; bl; path ] in
-      Alcotest.(check int) "baselined finding tolerated" 0 code;
-      Alcotest.(check bool) "reported as clean-with-baseline" true
-        (contains output "baselined");
-      (* A regression in the same (file, rule) group blows the budget
-         and reports the whole group. *)
-      let oc = open_out path in
-      output_string oc "let bad x = x = 0.0\nlet worse y = y = 1.0\n";
-      close_out oc;
-      let code, _ = run_main [ "--baseline"; bl; path ] in
-      Alcotest.(check int) "over-budget group exits 1" 1 code)
-
-let test_baseline_malformed () =
-  let path = write_fixture "let id x = x\n" in
-  let bl = Filename.temp_file "iqlint_baseline" ".json" in
-  Fun.protect
-    ~finally:(fun () ->
-      Sys.remove path;
-      Sys.remove bl)
-    (fun () ->
-      let oc = open_out bl in
-      output_string oc "{ not json";
-      close_out oc;
-      let code, _ = run_main [ "--baseline"; bl; path ] in
-      Alcotest.(check int) "malformed baseline exits 2" 2 code)
 
 (* ------------------------- lock-set exemptions ------------------- *)
 
@@ -797,10 +693,8 @@ let test_lifecycle_double_close () =
       Alcotest.(check int) "at the second close" 4 f.Lint.line;
       Alcotest.(check bool) "says closed twice" true
         (contains f.Lint.message "closed twice");
-      Alcotest.(check bool) "relates the first close" true
-        (List.exists
-           (fun r -> contains r.Lint.rl_note "first closed")
-           f.Lint.related)
+      Alcotest.(check bool) "cites the first close" true
+        (contains f.Lint.message "first closed at line 3")
   | fs' -> Alcotest.failf "expected one lifecycle finding, got %d" (List.length fs')
 
 let test_lifecycle_use_after_close () =
@@ -818,8 +712,8 @@ let test_lifecycle_use_after_close () =
       Alcotest.(check int) "at the stale use" 4 f.Lint.line;
       Alcotest.(check bool) "says used after close" true
         (contains f.Lint.message "used after");
-      Alcotest.(check bool) "relates the close site" true
-        (List.exists (fun r -> r.Lint.rl_line = 3) f.Lint.related)
+      Alcotest.(check bool) "cites the close site" true
+        (contains f.Lint.message "closed at line 3")
   | fs' -> Alcotest.failf "expected one lifecycle finding, got %d" (List.length fs')
 
 let test_lifecycle_exception_path () =
@@ -1155,46 +1049,11 @@ let test_timings_flag () =
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       let _, text = run_main [ "--timings"; path ] in
-      Alcotest.(check bool) "text mode prints a pass summary" true
+      Alcotest.(check bool) "prints a pass summary" true
         (contains text "iqlint: pass");
-      let _, json = run_main [ "--timings"; "--format"; "json"; path ] in
-      Alcotest.(check bool) "json carries timings_ms" true
-        (contains json "timings_ms");
-      let _, plain = run_main [ "--format"; "json"; path ] in
+      let _, plain = run_main [ path ] in
       Alcotest.(check bool) "no timings without the flag" false
-        (contains plain "timings_ms"))
-
-(* ------------------------- baseline ratchet ---------------------- *)
-
-let test_prune_baseline_ratchet () =
-  let path = write_fixture "let bad x = x = 0.0\nlet worse y = y = 1.0\n" in
-  let bl = Filename.temp_file "iqlint_baseline" ".json" in
-  let rewrite src =
-    let oc = open_out path in
-    output_string oc src;
-    close_out oc
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      Sys.remove path;
-      Sys.remove bl)
-    (fun () ->
-      let code, _ = run_main [ "--write-baseline"; bl; path ] in
-      Alcotest.(check int) "baseline written" 0 code;
-      (* Fix one of the two findings, then ratchet the budget down. *)
-      rewrite "let bad x = x = 0.0\n";
-      let code, output = run_main [ "--prune-baseline"; bl; path ] in
-      Alcotest.(check int) "--prune-baseline exits 0" 0 code;
-      Alcotest.(check bool) "acknowledges the prune" true
-        (contains output "pruned baseline");
-      let code, _ = run_main [ "--baseline"; bl; path ] in
-      Alcotest.(check int) "pruned baseline still tolerates the rest" 0 code;
-      (* Reintroducing the fixed finding now blows the shrunk budget. *)
-      rewrite "let bad x = x = 0.0\nlet worse y = y = 1.0\n";
-      let code, output = run_main [ "--baseline"; bl; path ] in
-      Alcotest.(check int) "regression past the ratchet exits 1" 1 code;
-      Alcotest.(check bool) "and is reported as a ratchet failure" true
-        (contains output "baseline ratchet"))
+        (contains plain "iqlint: pass"))
 
 (* ------------------------- determinism over new passes ----------- *)
 
@@ -1216,10 +1075,7 @@ let test_jobs_deterministic_protocol () =
   Fun.protect
     ~finally:(fun () -> rm_project dir)
     (fun () ->
-      let c1, o1 = run_main [ "--jobs"; "1"; "--format"; "json"; dir ] in
-      let c4, o4 = run_main [ "--jobs"; "4"; "--format"; "json"; dir ] in
-      Alcotest.(check int) "same exit code" c1 c4;
-      Alcotest.(check bool) "found something" true (c1 = 1);
+      let o1 = lint_text ~jobs:1 dir and o4 = lint_text ~jobs:4 dir in
       List.iter
         (fun rule ->
           Alcotest.(check bool) (rule ^ " present") true (contains o1 rule))
@@ -1229,12 +1085,11 @@ let test_jobs_deterministic_protocol () =
           "engine-boundary-raise";
           "dead-export";
         ];
-      Alcotest.(check string) "--jobs 4 output byte-identical to --jobs 1" o1 o4)
+      Alcotest.(check string) "jobs:4 output byte-identical to jobs:1" o1 o4)
 
 (* A handle closed outside a [Fun.protect] bracket leaks on the
-   exception path; the finding's witness is the "opened here" note.
-   End to end through the CLI, the witness must surface in both JSON
-   ([related]) and SARIF ([relatedLocations]). *)
+   exception path. End to end through the CLI, the finding's text line
+   cites the open's line, the witness the message carries. *)
 let unbracketed_close_ml =
   "let first_line () =\n\
   \  let ic = open_in \"x\" in\n\
@@ -1242,7 +1097,7 @@ let unbracketed_close_ml =
   \  close_in ic;\n\
   \  l\n"
 
-let test_witness_chain_json_sarif () =
+let test_witness_lines_in_messages () =
   let dir =
     write_project
       [
@@ -1252,20 +1107,15 @@ let test_witness_chain_json_sarif () =
   Fun.protect
     ~finally:(fun () -> rm_project dir)
     (fun () ->
-      let code, json = run_main [ "--format"; "json"; dir ] in
+      let code, text = run_main [ dir ] in
       Alcotest.(check int) "leak exits 1" 1 code;
-      Alcotest.(check bool) "JSON names the rule" true
-        (contains json "handle-lifecycle");
-      Alcotest.(check bool) "JSON carries the witness chain" true
-        (contains json "\"related\"");
-      Alcotest.(check bool) "chain reaches the open" true
-        (contains json "opened here");
-      let code, sarif = run_main [ "--format"; "sarif"; dir ] in
-      Alcotest.(check int) "SARIF run exits 1 too" 1 code;
-      Alcotest.(check bool) "SARIF carries relatedLocations" true
-        (contains sarif "relatedLocations");
-      Alcotest.(check bool) "SARIF chain reaches the open" true
-        (contains sarif "opened here"))
+      let prefix = Filename.concat dir "leak.ml:4:" in
+      Alcotest.(check bool) "the close's line cites the open" true
+        (String.split_on_char '\n' text
+        |> List.exists (fun l ->
+               String.starts_with ~prefix l
+               && contains l "[handle-lifecycle]"
+               && contains l "opened at line 2")))
 
 (* ------------------------- --explain ----------------------------- *)
 
@@ -1299,29 +1149,6 @@ let test_explain_flag () =
         (id ^ " example present") true
         (contains text "example (fires)"))
     Lint.all_rules
-
-(* ------------------------- parse cache --------------------------- *)
-
-let test_parse_cache_reuse () =
-  let dir =
-    write_project
-      [
-        ("dune", "(library (name fixlc))\n"); ("leak.ml", unbracketed_close_ml);
-      ]
-  in
-  Fun.protect
-    ~finally:(fun () -> rm_project dir)
-    (fun () ->
-      let _ = Lint.lint_paths [ dir ] in
-      let hits0, _, _ = Lint.parse_cache_stats () in
-      let _, timings = Lint.lint_paths_timed [ dir ] in
-      let hits1, _, _ = Lint.parse_cache_stats () in
-      Alcotest.(check bool) "second lint reuses cached parses" true
-        (hits1 > hits0);
-      Alcotest.(check bool) "saving is surfaced in --timings" true
-        (List.mem_assoc "parse-cache-saved" timings);
-      Alcotest.(check bool) "saved wall time is non-negative" true
-        (List.assoc "parse-cache-saved" timings >= 0.))
 
 (* ------------------------- multi-line attributes ----------------- *)
 
@@ -1409,9 +1236,7 @@ let suite =
       test_engine_boundary_fixed_by_guard;
     Alcotest.test_case "pp_finding / compare_finding" `Quick
       test_finding_pp_and_order;
-    Alcotest.test_case "JSON golden" `Quick test_json_golden;
-    Alcotest.test_case "SARIF golden" `Quick test_sarif_golden;
-    Alcotest.test_case "--jobs 4 output identical to --jobs 1" `Quick
+    Alcotest.test_case "pool size never changes findings" `Quick
       test_jobs_deterministic;
     Alcotest.test_case "pragma suppresses only the named rule" `Quick
       test_pragma_granularity;
@@ -1419,12 +1244,6 @@ let suite =
       test_pragma_all;
     Alcotest.test_case "pragma scan stops at unknown token" `Quick
       test_pragma_unknown_token_stops;
-    Alcotest.test_case "--no-pragmas audits suppressed findings" `Quick
-      test_no_pragmas_flag;
-    Alcotest.test_case "baseline: write, tolerate, gate regressions" `Quick
-      test_baseline_gate;
-    Alcotest.test_case "baseline: malformed file exits 2" `Quick
-      test_baseline_malformed;
     Alcotest.test_case "lock-set: parallel_for disjoint slot exempt" `Quick
       test_lockset_disjoint_slot_ok;
     Alcotest.test_case "lock-set: shared slot still fires" `Quick
@@ -1481,18 +1300,14 @@ let suite =
       test_pragma_blank_line_breaks;
     Alcotest.test_case "--timings payload covers every pass" `Quick
       test_timings_payload;
-    Alcotest.test_case "--timings flag in text and JSON" `Quick
+    Alcotest.test_case "--timings flag in text output" `Quick
       test_timings_flag;
-    Alcotest.test_case "baseline: prune-baseline ratchets budgets down" `Quick
-      test_prune_baseline_ratchet;
     Alcotest.test_case "--jobs identical across protocol passes" `Quick
       test_jobs_deterministic_protocol;
-    Alcotest.test_case "witness chain in JSON and SARIF" `Quick
-      test_witness_chain_json_sarif;
+    Alcotest.test_case "witness lines in lifecycle messages" `Quick
+      test_witness_lines_in_messages;
     Alcotest.test_case "--explain prints rationale and example" `Quick
       test_explain_flag;
-    Alcotest.test_case "parse cache reuses ASTs across runs" `Quick
-      test_parse_cache_reuse;
     Alcotest.test_case "pragma above a multi-line attribute" `Quick
       test_pragma_above_multiline_attribute;
     Alcotest.test_case "pragma above attribute with trailing bracket" `Quick
