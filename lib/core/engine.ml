@@ -437,7 +437,11 @@ let prepare_in t snap ~target ~from_pos =
     if pos >= n then
       match last with
       | Some e -> raise e
-      | None -> invalid_arg "Engine: empty backend chain"
+      | None ->
+          (* Every link from [from_pos] on was skipped: the chain always
+             holds the built-in backends, so all their circuits are
+             open. *)
+          failwith "Engine: every backend circuit is open"
     else
       let (module B : BACKEND) = t.chain.(pos) in
       let st = bstat t B.name in

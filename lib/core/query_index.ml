@@ -80,11 +80,8 @@ let build ?(depth_slack = 0) ?pool inst =
     match pool with
     | None -> Array.init m (compute_prefix inst depth)
     | Some pool ->
-        let out = Array.make m [||] in
-        Parallel.parallel_for pool ~lo:0 ~hi:m (fun qi ->
-            (* each query writes its own slot *)
-            out.(qi) <- compute_prefix inst depth qi);
-        out
+        Parallel.map_array pool (compute_prefix inst depth)
+          (Array.init m Fun.id)
   in
   let groups, gid_of = group_prefixes prefixes in
   let rtree = build_rtree inst in

@@ -26,10 +26,10 @@ val build : ?depth_slack:int -> ?pool:Parallel.pool -> Instance.t -> t
     [pool] shards the per-query prefix computation across a
     {!Parallel} Domain pool. {b Safe-sharing invariant:} the scan is
     read-only over frozen data — it reads only the immutable
-    [Instance] feature array. Each domain writes only its own queries'
-    prefix slots, and the grouping/R-tree phases that follow run
-    sequentially on the caller. The built index is byte-identical for
-    every pool size. *)
+    [Instance] feature array. Each task returns its query's prefix
+    through [Parallel.map_array], and the grouping/R-tree phases that
+    follow run sequentially on the caller. The built index is
+    byte-identical for every pool size. *)
 
 val instance : t -> Instance.t
 

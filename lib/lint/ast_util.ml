@@ -1,5 +1,5 @@
 (* Shared untyped-AST helpers for the per-file rules (Lint) and the
-   whole-program passes (Callgraph / Effects / Exn_escape). *)
+   whole-program passes (Callgraph / Exn_escape). *)
 
 open Parsetree
 
@@ -34,11 +34,6 @@ let rec lid_comps = function
   | Longident.Lident s -> [ s ]
   | Longident.Ldot (p, s) -> lid_comps p @ [ s ]
   | Longident.Lapply (a, _) -> lid_comps a
-
-let rec flatten_lid = function
-  | Longident.Lident s -> s
-  | Longident.Ldot (p, s) -> flatten_lid p ^ "." ^ s
-  | Longident.Lapply (a, b) -> flatten_lid a ^ "(" ^ flatten_lid b ^ ")"
 
 let last_comp lid =
   match List.rev (lid_comps lid) with [] -> "" | v :: _ -> v

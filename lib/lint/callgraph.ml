@@ -8,11 +8,9 @@
      mention counts, applied or passed higher-order — an
      over-approximation that soundly covers higher-order escapes),
    - unresolved external references (["Hashtbl.find"], matched against
-     the known-raising / known-mutating stdlib tables),
+     the known-raising stdlib table),
    - direct raise sites with the exception names masked by enclosing
-     [try] handlers,
-   - the binding's own mutation footprint (shared vs local, see
-     {!Effects}).
+     [try] handlers.
 
    Resolution is deliberately conservative and mirrors what dune/OCaml
    actually allow: a module path resolves through local module
@@ -38,7 +36,6 @@ type xref = {
   x_target : node;
   x_loc : Location.t;
   x_handled : string list;  (** exn names masked by enclosing handlers *)
-  x_in_pool : bool;  (** inside a closure passed to a Parallel entry *)
   x_usage_only : bool;  (** functor/opaque context: count, don't analyze *)
 }
 
@@ -46,21 +43,15 @@ type ext = {
   e_path : string;  (** flattened external path, e.g. ["Hashtbl.find"] *)
   e_loc : Location.t;
   e_handled : string list;
-  e_in_pool : bool;
-  e_mut_free : bool;  (** known mutator applied to non-local state *)
 }
 
 type raise_site = { r_exn : string; r_loc : Location.t; r_handled : string list }
 
 type fn = {
   f_node : node;
-  f_file : string;
-  f_loc : Location.t;
   mutable f_refs : xref list;
   mutable f_exts : ext list;
   mutable f_raises : raise_site list;
-  mutable f_shared : (Location.t * string) option;
-  mutable f_local : bool;
 }
 
 type export = { ex_node : node; ex_loc : Location.t; ex_file : string }
@@ -78,55 +69,7 @@ type t = {
   cg_project : Project.t;
   cg_fns : fn list;
   cg_exports : export list;
-  cg_by_node : (node, fn list) Hashtbl.t;
 }
-
-let fns_of t node = Option.value (Hashtbl.find_opt t.cg_by_node node) ~default:[]
-
-(* External calls that mutate an argument in place, with the 0-based
-   positions (among positional args) of the mutated argument(s) —
-   [Array.sort cmp a] mutates its second argument, [Array.blit] its
-   third. When a mutated argument is module-level (or captured) state,
-   the caller is a shared mutator even though no [:=]/[<-] appears in
-   its own body. *)
-let ext_mutators =
-  [
-    ("Hashtbl.replace", [ 0 ]); ("Hashtbl.add", [ 0 ]);
-    ("Hashtbl.remove", [ 0 ]); ("Hashtbl.reset", [ 0 ]);
-    ("Hashtbl.clear", [ 0 ]); ("Hashtbl.filter_map_inplace", [ 1 ]);
-    ("Queue.push", [ 1 ]); ("Queue.add", [ 1 ]); ("Queue.pop", [ 0 ]);
-    ("Queue.take", [ 0 ]); ("Queue.clear", [ 0 ]);
-    ("Queue.transfer", [ 0; 1 ]); ("Stack.push", [ 1 ]); ("Stack.pop", [ 0 ]);
-    ("Stack.clear", [ 0 ]); ("Buffer.add_string", [ 0 ]);
-    ("Buffer.add_char", [ 0 ]); ("Buffer.add_buffer", [ 0 ]);
-    ("Buffer.clear", [ 0 ]); ("Buffer.reset", [ 0 ]); ("Array.fill", [ 0 ]);
-    ("Array.blit", [ 2 ]); ("Array.sort", [ 1 ]); ("Bytes.fill", [ 0 ]);
-    ("Bytes.blit", [ 2 ]);
-  ]
-
-let pool_entry_names = [ "parallel_for"; "map_array" ]
-
-(* [Parallel.create ~domains:1 ()] — a pool that can never run a
-   closure on another domain. Closures handed to it are sequential
-   code; the domain-safety rules skip them. Only the literal
-   [~domains:1] qualifies: anything computed stays conservative. *)
-let is_seq_pool_create e =
-  match (Ast_util.strip e).pexp_desc with
-  | Pexp_apply (f, args) -> (
-      match (Ast_util.strip f).pexp_desc with
-      | Pexp_ident { txt; _ }
-        when Ast_util.last_comp txt = "create"
-             && List.mem "Parallel" (Ast_util.lid_comps txt) ->
-          List.exists
-            (fun (lbl, a) ->
-              match (lbl, (Ast_util.strip a).pexp_desc) with
-              | ( Asttypes.Labelled "domains",
-                  Pexp_constant (Pconst_integer ("1", _)) ) ->
-                  true
-              | _ -> false)
-            args
-      | _ -> false)
-  | _ -> false
 
 (* ---------------------- pass 1: name tables ----------------------- *)
 
@@ -227,10 +170,7 @@ type scope = {
   mods : alias SMap.t;
   opens : opened list;
   handled : string list;
-  in_pool : bool;
-  protected : bool;
   usage_only : bool;
-  seq_vals : SSet.t;  (** names bound to [Parallel.create ~domains:1] *)
 }
 
 type fctx = {
@@ -243,21 +183,7 @@ type fctx = {
 }
 
 let bind scope vars =
-  {
-    scope with
-    vals = List.fold_left (fun s v -> SSet.add v s) scope.vals vars;
-    (* A rebinding shadows any sequential-pool knowledge. *)
-    seq_vals = List.fold_left (fun s v -> SSet.remove v s) scope.seq_vals vars;
-  }
-
-let bind_seq_pools scope vbs =
-  List.fold_left
-    (fun scope vb ->
-      match Ast_util.pattern_vars vb.pvb_pat with
-      | [ v ] when is_seq_pool_create vb.pvb_expr ->
-          { scope with seq_vals = SSet.add v scope.seq_vals }
-      | _ -> scope)
-    scope vbs
+  { scope with vals = List.fold_left (fun s v -> SSet.add v s) scope.vals vars }
 
 let lib_visible fctx lib =
   lib = fctx.file.Project.library
@@ -394,50 +320,12 @@ let exn_of_expr e =
   | Pexp_construct ({ txt; _ }, _) -> Ast_util.last_comp txt
   | _ -> "*"
 
-let rec base_ident e =
-  match (Ast_util.strip e).pexp_desc with
-  | Pexp_ident { txt = Longident.Lident x; _ } -> Some (`Bare x)
-  | Pexp_ident { txt; _ } -> Some (`Qual (Ast_util.flatten_lid txt))
-  | Pexp_field (e', _) -> base_ident e'
-  | Pexp_apply ({ pexp_desc = Pexp_ident { txt = Longident.Lident "!"; _ }; _ },
-                [ (_, e') ]) ->
-      base_ident e'
-  | _ -> None
-
-let is_mutex_lock e =
-  match (Ast_util.strip e).pexp_desc with
-  | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, _) ->
-      Ast_util.lid_comps txt = [ "Mutex"; "lock" ]
-  | _ -> false
-
-let is_mutex_protect_fn f =
-  match f.pexp_desc with
-  | Pexp_ident { txt; _ } -> Ast_util.lid_comps txt = [ "Mutex"; "protect" ]
-  | _ -> false
-
 let add_raise fn scope exn loc =
   if not scope.usage_only then
     fn.f_raises <- { r_exn = exn; r_loc = loc; r_handled = scope.handled }
                    :: fn.f_raises
 
-let set_shared fn scope loc what =
-  if (not scope.usage_only) && (not scope.protected) && fn.f_shared = None then
-    fn.f_shared <- Some (loc, what)
-
-let record_mutation fn scope loc lhs what =
-  if scope.usage_only || scope.protected then ()
-  else
-    match base_ident lhs with
-    | Some (`Bare x) when SSet.mem x scope.vals -> fn.f_local <- true
-    | Some (`Bare x) ->
-        set_shared fn scope loc
-          (Printf.sprintf "%s to module-level `%s`" what x)
-    | Some (`Qual p) ->
-        set_shared fn scope loc
-          (Printf.sprintf "%s to module state `%s`" what p)
-    | None -> fn.f_local <- true
-
-let record_ref fctx fn scope lid loc ~pos_args =
+let record_ref fctx fn scope lid loc =
   match resolve_value fctx scope lid with
   | VLocal | VUnknown -> ()
   | VNodes nodes ->
@@ -448,48 +336,22 @@ let record_ref fctx fn scope lid loc ~pos_args =
               x_target = n;
               x_loc = loc;
               x_handled = scope.handled;
-              x_in_pool = scope.in_pool;
               x_usage_only = scope.usage_only;
             }
             :: fn.f_refs)
         nodes
   | VExt path ->
-      let mut_free =
-        match List.assoc_opt path ext_mutators with
-        | None -> false
-        | Some idxs ->
-            List.exists
-              (fun i ->
-                match List.nth_opt pos_args i with
-                | Some a -> (
-                    match base_ident a with
-                    | Some (`Bare x) -> not (SSet.mem x scope.vals)
-                    | Some (`Qual _) -> true
-                    | None -> false)
-                | None -> false)
-              idxs
-      in
-      if mut_free then
-        set_shared fn scope loc
-          (Printf.sprintf "`%s` applied to module-level/captured state" path);
       fn.f_exts <-
-        {
-          e_path = path;
-          e_loc = loc;
-          e_handled = scope.handled;
-          e_in_pool = scope.in_pool;
-          e_mut_free = mut_free;
-        }
-        :: fn.f_exts
+        { e_path = path; e_loc = loc; e_handled = scope.handled } :: fn.f_exts
 
 let rec walk fctx fn scope e =
   match e.pexp_desc with
-  | Pexp_ident { txt; loc } -> record_ref fctx fn scope txt loc ~pos_args:[]
+  | Pexp_ident { txt; loc } -> record_ref fctx fn scope txt loc
   | Pexp_let (rf, vbs, body) ->
       let vars =
         List.concat_map (fun vb -> Ast_util.pattern_vars vb.pvb_pat) vbs
       in
-      let scope' = bind_seq_pools (bind scope vars) vbs in
+      let scope' = bind scope vars in
       let bscope = match rf with Asttypes.Recursive -> scope' | _ -> scope in
       List.iter (fun vb -> walk fctx fn bscope vb.pvb_expr) vbs;
       walk fctx fn scope' body
@@ -508,19 +370,6 @@ let rec walk fctx fn scope e =
       walk fctx fn scope a;
       walk fctx fn scope b;
       walk fctx fn (bind scope (Ast_util.pattern_vars pat)) body
-  | Pexp_while (c, body) ->
-      walk fctx fn scope c;
-      walk fctx fn scope body
-  | Pexp_sequence (e1, e2) ->
-      walk fctx fn scope e1;
-      let scope2 =
-        if is_mutex_lock e1 then { scope with protected = true } else scope
-      in
-      walk fctx fn scope2 e2
-  | Pexp_setfield (r, _, v) ->
-      record_mutation fn scope e.pexp_loc r "record-field write `<-`";
-      walk fctx fn scope r;
-      walk fctx fn scope v
   | Pexp_assert e' -> (
       match (Ast_util.strip e').pexp_desc with
       | Pexp_construct ({ txt = Longident.Lident "false"; _ }, None) ->
@@ -557,7 +406,7 @@ let rec walk fctx fn scope e =
       List.iter
         (fun b ->
           record_ref fctx fn scope (Longident.Lident b.pbop_op.txt)
-            b.pbop_op.loc ~pos_args:[];
+            b.pbop_op.loc;
           walk fctx fn scope b.pbop_exp)
         ops;
       let vars = List.concat_map (fun b -> Ast_util.pattern_vars b.pbop_pat) ops in
@@ -581,7 +430,7 @@ and walk_apply fctx fn scope e f args =
       let walk_args scope = List.iter (fun (_, a) -> walk fctx fn scope a) args in
       (* [g @@ x] and [x |> g] are applications of [@@]/[|>] in the
          AST; rewrite them so [g] is resolved (and its closure args get
-         wrapper/pool treatment), merging into an enclosing partial
+         wrapper treatment), merging into an enclosing partial
          application when [g] is itself an apply node. *)
       let reapply f' x =
         match (Ast_util.strip f').pexp_desc with
@@ -603,36 +452,7 @@ and walk_apply fctx fn scope e f args =
           add_raise fn scope "Invalid_argument" e.pexp_loc;
           walk_args scope
       | _ ->
-          (match (comps, args) with
-          | [ ":=" ], (_, lhs) :: _ ->
-              record_mutation fn scope e.pexp_loc lhs "assignment `:=`"
-          | [ ("incr" | "decr") as op ], (_, lhs) :: _ ->
-              record_mutation fn scope e.pexp_loc lhs ("`" ^ op ^ "`")
-          | [ ("Array" | "Bytes"); ("set" | "unsafe_set") ], (_, lhs) :: _ ->
-              record_mutation fn scope e.pexp_loc lhs "element assignment"
-          | _ -> ());
-          let pos_args =
-            List.filter_map
-              (function Asttypes.Nolabel, a -> Some a | _ -> None)
-              args
-          in
-          record_ref fctx fn scope txt loc ~pos_args;
-          let seq_pool_arg =
-            match pos_args with
-            | p :: _ -> (
-                match (Ast_util.strip p).pexp_desc with
-                | Pexp_ident { txt = Longident.Lident x; _ } ->
-                    SSet.mem x scope.seq_vals
-                | _ -> false)
-            | [] -> false
-          in
-          let pool_entry =
-            (match List.rev comps with
-            | last :: _ -> List.mem last pool_entry_names
-            | [] -> false)
-            && not seq_pool_arg
-          in
-          let protect = is_mutex_protect_fn fs in
+          record_ref fctx fn scope txt loc;
           (* Closures handed to a run-wrapper ([let guard f = try f ()
              with ...]) execute under its catch-all handler. *)
           let wrapper =
@@ -648,21 +468,15 @@ and walk_apply fctx fn scope e f args =
           in
           List.iter
             (fun (_, a) ->
-              let sa = Ast_util.strip a in
               let closure =
-                match sa.pexp_desc with
+                match (Ast_util.strip a).pexp_desc with
                 | Pexp_fun _ | Pexp_function _ -> true
                 | _ -> false
               in
               let scope' =
-                {
-                  scope with
-                  in_pool = scope.in_pool || (pool_entry && closure);
-                  protected = scope.protected || (protect && closure);
-                  handled =
-                    (if wrapper && closure then "*" :: scope.handled
-                     else scope.handled);
-                }
+                if wrapper && closure then
+                  { scope with handled = "*" :: scope.handled }
+                else scope
               in
               walk fctx fn scope' a)
             args)
@@ -672,7 +486,7 @@ and walk_apply fctx fn scope e f args =
 
 (* Module expressions inside function bodies / structures. Functor
    bodies and functor applications are walked in usage-only mode:
-   their refs count for dead-export, but no effect/exception facts are
+   their refs count for dead-export, but no exception facts are
    drawn from them (conservative skip). *)
 and walk_mexpr fctx fn scope me =
   match me.pmod_desc with
@@ -710,7 +524,7 @@ and descend fctx fn scope e =
 
 (* ---------------------- structure traversal ----------------------- *)
 
-let new_fn fctx name loc =
+let new_fn fctx name =
   let fn =
     {
       f_node =
@@ -719,13 +533,9 @@ let new_fn fctx name loc =
           n_mod = fctx.file.Project.modname;
           n_val = name;
         };
-      f_file = fctx.file.Project.path;
-      f_loc = loc;
       f_refs = [];
       f_exts = [];
       f_raises = [];
-      f_shared = None;
-      f_local = false;
     }
   in
   fctx.fns <- fn :: fctx.fns;
@@ -749,19 +559,17 @@ let rec walk_structure fctx base prefix items =
                     (Printf.sprintf "(init-%d)" fctx.init_count, [])
                 | v :: rest -> (v, rest)
               in
-              let fn = new_fn fctx (prefix ^ primary) vb.pvb_loc in
+              let fn = new_fn fctx (prefix ^ primary) in
               walk fctx fn base vb.pvb_expr;
               List.iter (fun v -> clone_as fctx fn (prefix ^ v)) rest)
             vbs
       | Pstr_eval (e, _) ->
           fctx.init_count <- fctx.init_count + 1;
           let fn =
-            new_fn fctx
-              (Printf.sprintf "%s(init-%d)" prefix fctx.init_count)
-              item.pstr_loc
+            new_fn fctx (Printf.sprintf "%s(init-%d)" prefix fctx.init_count)
           in
           walk fctx fn base e
-      | Pstr_module { pmb_name = { txt = name; _ }; pmb_expr; pmb_loc; _ } -> (
+      | Pstr_module { pmb_name = { txt = name; _ }; pmb_expr; _ } -> (
           match pmb_expr.pmod_desc with
           | Pmod_structure items'
           | Pmod_constraint ({ pmod_desc = Pmod_structure items'; _ }, _) -> (
@@ -773,17 +581,15 @@ let rec walk_structure fctx base prefix items =
                 new_fn fctx
                   (prefix
                   ^ Printf.sprintf "(module-%s)" (Option.value name ~default:"_"))
-                  pmb_loc
               in
               walk_mexpr fctx fn base pmb_expr)
-      | Pstr_include { pincl_mod; pincl_loc; _ } ->
-          let fn = new_fn fctx (prefix ^ "(include)") pincl_loc in
+      | Pstr_include { pincl_mod; _ } ->
+          let fn = new_fn fctx (prefix ^ "(include)") in
           walk_mexpr fctx fn base pincl_mod
       | _ -> ());
-      (* Structure-level opens, module aliases and sequential-pool
-         bindings scope over the items that follow them. *)
+      (* Structure-level opens and module aliases scope over the items
+         that follow them. *)
       match item.pstr_desc with
-      | Pstr_value (_, vbs) -> bind_seq_pools base vbs
       | Pstr_open od -> (
           match od.popen_expr.pmod_desc with
           | Pmod_ident { txt; _ } -> (
@@ -830,7 +636,7 @@ let rec exports_of_sig file prefix items acc =
 
 (* ---------------------- build ------------------------------------- *)
 
-let build ~pool (proj : Project.t) =
+let build (proj : Project.t) =
   let names = Hashtbl.create 64 in
   List.iter
     (fun f ->
@@ -861,10 +667,7 @@ let build ~pool (proj : Project.t) =
         mods = SMap.empty;
         opens = [];
         handled = [];
-        in_pool = false;
-        protected = false;
         usage_only = false;
-        seq_vals = SSet.empty;
       }
     in
     (match file.Project.str with
@@ -872,10 +675,7 @@ let build ~pool (proj : Project.t) =
     | None -> ());
     List.rev fctx.fns
   in
-  let fns =
-    Parallel.map_array pool extract (Array.of_list impls)
-    |> Array.to_list |> List.concat
-  in
+  let fns = List.concat_map extract impls in
   let exports =
     List.fold_left
       (fun acc f ->
@@ -885,15 +685,4 @@ let build ~pool (proj : Project.t) =
       [] proj.Project.files
     |> List.rev
   in
-  let by_node = Hashtbl.create 256 in
-  List.iter
-    (fun fn ->
-      let prev = Option.value (Hashtbl.find_opt by_node fn.f_node) ~default:[] in
-      Hashtbl.replace by_node fn.f_node (fn :: prev))
-    fns;
-  {
-    cg_project = proj;
-    cg_fns = fns;
-    cg_exports = exports;
-    cg_by_node = by_node;
-  }
+  { cg_project = proj; cg_fns = fns; cg_exports = exports }

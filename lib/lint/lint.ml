@@ -7,7 +7,7 @@
      the untyped AST with an [Ast_iterator];
    - whole-program rules: load every source under the given paths into
      a {!Project}, build a cross-module {!Callgraph}, and run the
-     {!Effects} and {!Exn_escape} interprocedural passes.
+     {!Exn_escape} interprocedural passes.
 
    Findings print as [file:line:col [rule-id] message]; a finding is
    suppressed by a pragma comment
@@ -34,27 +34,17 @@ let pp_finding = Report.pp_finding
 (* Rules                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let rule_domain = "domain-unsafe-capture"
 let rule_float = "float-exact-compare"
 let rule_partial = "partial-function"
 let rule_catch_all = "catch-all-handler"
 let rule_escape = "forbidden-escape"
 let rule_parse_error = "parse-error"
-let rule_domain_call = "domain-unsafe-call"
 let rule_engine_boundary = "engine-boundary-raise"
 let rule_dead_export = "dead-export"
 let rule_lifecycle = Lifecycle.rule_id
 
 let all_rules =
   [
-    ( rule_domain,
-      "mutation of state bound outside a closure passed to \
-       Parallel.parallel_for/map_array without Atomic or Mutex (lock-set \
-       aware: Mutex-guarded paths, per-index parallel_for slots and \
-       ~domains:1 pools are exempt)" );
-    ( rule_domain_call,
-      "call from a Parallel pool closure to a function that (transitively) \
-       mutates shared state without Atomic or Mutex" );
     ( rule_float,
       "exact =/<>/compare/min/max where an operand is a float literal or a \
        known float-returning primitive" );
@@ -80,12 +70,6 @@ let all_rules =
    silently rot. *)
 let rule_examples =
   [
-    ( rule_domain,
-      "let total = ref 0 in\n\
-       Parallel.parallel_for pool 0 n (fun i -> total := !total + cost i)" );
-    ( rule_domain_call,
-      "let bump () = counter := !counter + 1\n\
-       let run pool = Parallel.parallel_for pool 0 9 (fun _ -> bump ())" );
     (rule_float, "if score = 0.1 then accept ()");
     (rule_partial, "let first = List.hd items");
     (rule_catch_all, "try step () with _ -> ()");
@@ -280,9 +264,8 @@ let check_try ctx e =
 
 (* ---------------------- per-file driver --------------------------- *)
 
-(* domain-unsafe-capture lives in {!Lockset} (per-closure lock-set
-   analysis); handle-lifecycle in {!Lifecycle} (open→use→close
-   typestate). Both are per-file passes appended below. *)
+(* handle-lifecycle lives in {!Lifecycle} (open→use→close typestate),
+   a per-file pass appended below. *)
 
 let check_expr ctx e =
   (match e.pexp_desc with
@@ -315,12 +298,11 @@ let run_rules ~enabled ~file ast =
   let ctx = { file; in_test; enabled; findings = [] } in
   let it = iterator ctx in
   it.structure it ast;
-  let locksets = if enabled rule_domain then Lockset.findings ~file ast else [] in
   let lifecycle =
     if enabled rule_lifecycle then Lifecycle.findings ~in_test ~file ast
     else []
   in
-  ctx.findings @ locksets @ lifecycle
+  ctx.findings @ lifecycle
 
 let parse_error_finding file =
   {
@@ -464,7 +446,7 @@ let lint_file ?enabled path = lint_source ?enabled ~file:path (read_file path)
 
 (* [lint_paths_timed] also returns per-pass wall times (seconds, in
    pass order) for [--timings]. *)
-let lint_paths_timed ?(enabled = fun _ -> true) ?jobs paths =
+let lint_paths_timed ?(enabled = fun _ -> true) paths =
   let timings = ref [] in
   let timed name f =
     let t0 = Unix.gettimeofday () in
@@ -472,70 +454,54 @@ let lint_paths_timed ?(enabled = fun _ -> true) ?jobs paths =
     timings := (name, Unix.gettimeofday () -. t0) :: !timings;
     r
   in
-  let domains =
-    match jobs with Some j -> max 1 j | None -> Parallel.default_domains ()
+  let proj = timed "load" (fun () -> Project.load paths) in
+  (* Per-file rules over the already-parsed implementations. *)
+  let per_file =
+    timed "per-file" (fun () ->
+        List.concat_map
+          (fun (f : Project.file) ->
+            match (f.Project.kind, f.Project.str) with
+            | Project.Impl, Some ast ->
+                run_rules ~enabled ~file:f.Project.path ast
+            | _ ->
+                if f.Project.parse_failed then
+                  [ parse_error_finding f.Project.path ]
+                else [])
+          proj.Project.files)
   in
-  let pool = Parallel.create ~domains () in
-  let findings =
-    Fun.protect
-      ~finally:(fun () -> Parallel.shutdown pool)
-      (fun () ->
-        let proj = timed "load" (fun () -> Project.load ~pool paths) in
-        (* Per-file rules over the already-parsed implementations. *)
-        let per_file =
-          timed "per-file" (fun () ->
-              Parallel.map_array pool
-                (fun (f : Project.file) ->
-                  match (f.Project.kind, f.Project.str) with
-                  | Project.Impl, Some ast ->
-                      run_rules ~enabled ~file:f.Project.path ast
-                  | _ ->
-                      if f.Project.parse_failed then
-                        [ parse_error_finding f.Project.path ]
-                      else [])
-                (Array.of_list proj.Project.files)
-              |> Array.to_list |> List.concat)
-        in
-        (* Whole-program rules. *)
-        let cg = timed "callgraph" (fun () -> Callgraph.build ~pool proj) in
-        let eff_findings =
-          if enabled rule_domain_call then
-            timed "effects" (fun () -> Effects.findings cg (Effects.build cg))
-          else []
-        in
-        let exn_findings =
-          if enabled rule_engine_boundary then
-            timed "exn-escape" (fun () ->
-                Exn_escape.engine_boundary_findings cg (Exn_escape.build cg))
-          else []
-        in
-        let dead_findings =
-          if enabled rule_dead_export then
-            timed "dead-export" (fun () -> Exn_escape.dead_export_findings cg)
-          else []
-        in
-        let all = per_file @ eff_findings @ exn_findings @ dead_findings in
-        let all =
-          timed "pragmas" (fun () ->
-              let tables = Hashtbl.create 32 in
-              List.iter
-                (fun f ->
-                  if not (Hashtbl.mem tables f.Project.path) then
-                    Hashtbl.replace tables f.Project.path
-                      (pragmas_of_source f.Project.source))
-                proj.Project.files;
-              List.filter
-                (fun (fd : finding) ->
-                  match Hashtbl.find_opt tables fd.file with
-                  | Some tbl -> not (suppressed tbl fd)
-                  | None -> true)
-                all)
-        in
-        List.sort_uniq compare_finding all)
+  (* Whole-program rules. *)
+  let cg = timed "callgraph" (fun () -> Callgraph.build proj) in
+  let exn_findings =
+    if enabled rule_engine_boundary then
+      timed "exn-escape" (fun () ->
+          Exn_escape.engine_boundary_findings cg (Exn_escape.build cg))
+    else []
   in
-  (findings, List.rev !timings)
+  let dead_findings =
+    if enabled rule_dead_export then
+      timed "dead-export" (fun () -> Exn_escape.dead_export_findings cg)
+    else []
+  in
+  let all = per_file @ exn_findings @ dead_findings in
+  let all =
+    timed "pragmas" (fun () ->
+        let tables = Hashtbl.create 32 in
+        List.iter
+          (fun f ->
+            if not (Hashtbl.mem tables f.Project.path) then
+              Hashtbl.replace tables f.Project.path
+                (pragmas_of_source f.Project.source))
+          proj.Project.files;
+        List.filter
+          (fun (fd : finding) ->
+            match Hashtbl.find_opt tables fd.file with
+            | Some tbl -> not (suppressed tbl fd)
+            | None -> true)
+          all)
+  in
+  (List.sort_uniq compare_finding all, List.rev !timings)
 
-let lint_paths ?enabled ?jobs paths = fst (lint_paths_timed ?enabled ?jobs paths)
+let lint_paths ?enabled paths = fst (lint_paths_timed ?enabled paths)
 
 (* ---------------------- CLI ---------------------------------------- *)
 

@@ -9,14 +9,6 @@
 
     Per-file rules:
 
-    - [domain-unsafe-capture]: a closure passed to
-      [Parallel.parallel_for]/[map_array] mutates ([:=], [<-],
-      [Array.set] sugar, [incr]/[decr]) an identifier bound outside the
-      closure without routing through [Atomic] or a [Mutex]. Lock-set
-      aware: paths under [Mutex.lock]/[Mutex.protect] or a local lock
-      wrapper, [parallel_for] writes indexed by the closure's own
-      parameter (disjoint slots), and closures handed to a
-      [~domains:1] pool are exempt.
     - [handle-lifecycle]: open→use→close typestate for [Parallel]
       pools and stdlib channels — use after close/shutdown, double
       close, a handle never closed on some path, or a close outside a
@@ -34,9 +26,6 @@
     DESIGN.md "Whole-program lint" and "Protocol analysis" for the
     conservative approximations):
 
-    - [domain-unsafe-call]: a call from a Parallel pool closure to a
-      function that (transitively) mutates shared state without
-      [Atomic]/[Mutex].
     - [engine-boundary-raise]: a value exported by an [Engine] [.mli]
       whose implementation can raise instead of returning an
       [Error.t] result ([*_exn] values are exempt by convention).
@@ -45,7 +34,14 @@
 
     The search loops' budget discipline is not a rule: it holds by
     construction, in the one driver every greedy search runs on
-    ([Iq.Candidates.iterate]).
+    ([Iq.Candidates.iterate]). Neither is domain safety: the only
+    public pool primitive, [Parallel.map_array], takes tasks that
+    return their value, and the cross-domain determinism tests guard
+    that no task writes shared state.
+
+    The linter itself runs on one domain: it parses, builds the call
+    graph and runs every pass sequentially, so its output depends on
+    nothing but the sources.
 
     Findings have one rendering, {!pp_finding}'s text line. Nothing is
     tolerated: any unsuppressed finding fails [dune build @lint], and
@@ -86,19 +82,15 @@ val lint_source :
 val lint_file : ?enabled:(string -> bool) -> string -> finding list
 (** [lint_source] over a file's contents. *)
 
-val lint_paths :
-  ?enabled:(string -> bool) -> ?jobs:int -> string list -> finding list
+val lint_paths : ?enabled:(string -> bool) -> string list -> finding list
 (** Whole-program lint: loads every [.ml]/[.mli] under the given
     files/directories (recursively; skips [_build] and
     dot-directories) into a project, runs the per-file rules on each
     implementation and the whole-program rules on the cross-module
-    call graph. [jobs] sizes the worker pool (default
-    [Parallel.default_domains ()], which honours [IQ_DOMAINS]); output
-    is deterministic regardless of job count. *)
+    call graph. *)
 
 val lint_paths_timed :
   ?enabled:(string -> bool) ->
-  ?jobs:int ->
   string list ->
   finding list * (string * float) list
 (** [lint_paths] plus per-pass wall times (pass name, seconds) in pass
@@ -109,6 +101,6 @@ val main : ?out:Format.formatter -> string list -> int
     findings to [out] and returns the exit code — 0 clean, 1 findings,
     2 usage error. Supports [--rules], [--disable], [--list-rules],
     [--timings], [--explain rule-id] and [--help]; default paths are
-    [lib bin bench examples test]. The worker pool has
-    [Parallel.default_domains ()] domains ([IQ_DOMAINS]). There is no
+    [lib bin bench examples test]. The run is sequential on the
+    calling domain; [IQ_DOMAINS] does not affect it. There is no
     baseline: any unsuppressed finding fails the run. *)

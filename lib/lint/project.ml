@@ -8,11 +8,7 @@
    stanza depends on, or of unwrapped libraries — exactly the
    visibility dune itself enforces. Directories without a dune file
    (ad-hoc fixture dirs, single-file CLI invocations) get unrestricted
-   visibility instead of none, which errs toward finding more edges.
-
-   compiler-libs keeps lexer/parser state in module-global refs, so
-   [parse] serialises the actual [Parse.*] call behind a mutex while
-   file reading and everything downstream runs freely on the pool. *)
+   visibility instead of none, which errs toward finding more edges. *)
 
 type kind = Impl | Intf
 
@@ -213,15 +209,10 @@ let collect_sources paths =
   List.fold_left (fun acc p -> go p acc) [] paths
   |> List.sort_uniq String.compare
 
-(* compiler-libs' lexer and parser keep global mutable state; hold the
-   lock for the whole parse so the pool's workers stay safe. *)
-let parse_lock = Mutex.create ()
-
 let parse_with parser ~file src =
-  Mutex.protect parse_lock (fun () ->
-      let lexbuf = Lexing.from_string src in
-      Location.init lexbuf file;
-      parser lexbuf)
+  let lexbuf = Lexing.from_string src in
+  Location.init lexbuf file;
+  parser lexbuf
 
 let parse_impl = parse_with Parse.implementation
 
@@ -241,7 +232,7 @@ let modname_of_path path =
   Filename.basename path |> Filename.remove_extension
   |> String.capitalize_ascii
 
-let load ~pool paths =
+let load paths =
   let sources = collect_sources paths in
   let dirs = Hashtbl.create 16 in
   let info_of_dir dir =
@@ -252,12 +243,8 @@ let load ~pool paths =
         Hashtbl.add dirs dir i;
         i
   in
-  (* Resolve dune metadata up front (sequential: Hashtbl cache), then
-     read + parse on the pool. *)
-  let metas =
-    List.map (fun path -> (path, info_of_dir (Filename.dirname path))) sources
-  in
-  let load_one (path, di) =
+  let load_one path =
+    let di = info_of_dir (Filename.dirname path) in
     let kind = if Filename.check_suffix path ".mli" then Intf else Impl in
     let source = try read_file path with Sys_error _ -> "" in
     let str, sg, parse_failed = parse ~path kind source in
@@ -275,9 +262,7 @@ let load ~pool paths =
       parse_failed;
     }
   in
-  let files =
-    Parallel.map_array pool load_one (Array.of_list metas) |> Array.to_list
-  in
+  let files = List.map load_one sources in
   let lib_mods = Hashtbl.create 16 in
   let wrappers = Hashtbl.create 16 in
   let unwrapped = Hashtbl.create 16 in

@@ -2,7 +2,7 @@
     no domainslib).
 
     The pool owns [domains - 1] worker domains; the caller of
-    {!parallel_for} / {!map_array} is the remaining participant, so a
+    {!map_array} is the remaining participant, so a
     pool of size [n] computes with [n] domains total. Work is split
     into chunks claimed dynamically off a shared atomic cursor, which
     load-balances uneven per-item costs (candidate evaluations vary
@@ -34,12 +34,17 @@
     running inside a pool operation executes nested pool operations
     sequentially (no re-entrant scheduling, no deadlock).
 
-    {b Sharing discipline.} Tasks receive no isolation: they run
-    against whatever state the closures capture. Callers must only
-    share immutable data (or disjoint mutable slots, e.g. distinct
-    indices of a result array) across tasks. The IQ hot paths satisfy
-    this by construction: the TA/Eval scorers and the ESE slab search
-    read immutable [Instance] arrays and a frozen index. *)
+    {b Sharing discipline.} The one task shape is a function whose
+    result {!map_array} stores for the caller, so no task needs a
+    shared write to hand back its work. A task writes only [Atomic]s
+    (instrumentation counters) or state it allocated itself; every
+    other value it touches is read-only while the job runs. The IQ
+    hot paths satisfy this by construction: the prefix scan, the
+    RTA/naive shard counts and the candidate evaluations read
+    immutable [Instance] arrays and a frozen index. The cross-domain
+    determinism tests (answers and evaluation counts identical on 1
+    and 4 domains) guard the contract: a lost update on a shared
+    non-atomic counter shows up there as a diverging count. *)
 
 type pool
 
@@ -72,37 +77,6 @@ val live : unit -> int
     well-behaved server routes everything through one shared pool —
     [bin/iq_tool] asserts [live () = 1] after engine construction. *)
 
-val parallel_for :
-  ?stop:(unit -> bool) ->
-  ?on_chunk:(unit -> unit) ->
-  pool ->
-  lo:int ->
-  hi:int ->
-  (int -> unit) ->
-  unit
-(** [parallel_for pool ~lo ~hi f] runs [f i] for every [lo <= i < hi]
-    across the pool (caller included). Iteration order is unspecified
-    across domains; any exception raised by some [f i] is re-raised in
-    the caller after all in-flight chunks drain (first one wins,
-    remaining chunks are abandoned).
-
-    [stop] is the cooperative-cancellation hook: each participant
-    consults it before claiming work on a chunk and skips the body
-    once it returns [true]. Skipped chunks still count as completed,
-    so the job drains cleanly — the caller returns (without raising)
-    and no worker stays busy on abandoned work. The serving layer
-    passes a budget check here; which indices ran is then undefined,
-    so callers must treat the results as discardable.
-
-    [on_chunk] runs at the start of every chunk a participant
-    actually executes (fault-injection sites hook in here). Exceptions
-    from [stop]/[on_chunk] propagate exactly like body exceptions.
-
-    The [domains = 1] bypass with neither hook supplied remains the
-    plain sequential loop; with hooks it checks [stop] before every
-    index (cancellation can only land sooner than the chunked
-    path). *)
-
 val map_array :
   ?stop:(unit -> bool) ->
   ?on_chunk:(unit -> unit) ->
@@ -113,11 +87,30 @@ val map_array :
 (** Chunked, order-preserving parallel map: [map_array pool f arr]
     returns an array [r] with [r.(i) = f arr.(i)] — same length, same
     positions, regardless of which domain computed which element.
-    Exceptions propagate as in {!parallel_for}; [stop]/[on_chunk]
-    behave as there ([f arr.(0)] seeds the result array on the caller
-    before chunking, so it runs even when [stop] is already true, and
-    slots of skipped chunks are left holding that seed value —
-    discard the array when a stop was requested). *)
+    Evaluation order is unspecified across domains. Any exception
+    raised by some [f arr.(i)] is re-raised in the caller after all
+    in-flight chunks drain (first one wins, remaining chunks are
+    abandoned).
+
+    [f arr.(0)] seeds the result array on the caller before chunking,
+    so it runs even when [stop] is already true.
+
+    [stop] is the cooperative-cancellation hook: each participant
+    consults it before claiming work on a chunk and skips the chunk
+    once it returns [true]. Skipped chunks still count as completed,
+    so the job drains cleanly — the caller returns (without raising)
+    and no worker stays busy on abandoned work. Slots of skipped
+    chunks keep the seed value, so discard the array when a stop was
+    requested. The serving layer passes a budget check here.
+
+    [on_chunk] runs at the start of every chunk a participant
+    actually executes (fault-injection sites hook in here). Exceptions
+    from [stop]/[on_chunk] propagate exactly like exceptions from [f].
+
+    The [domains = 1] bypass with neither hook supplied is the plain
+    sequential loop, in index order; with hooks it checks [stop]
+    before every element (cancellation can only land sooner than the
+    chunked path). *)
 
 val shutdown : pool -> unit
 (** Join the worker domains. Idempotent. Using the pool afterwards

@@ -232,6 +232,13 @@ module Fault = struct
           | Some _ | None -> Error (Printf.sprintf "bad latency %S" s)
         else Error (Printf.sprintf "unknown fault kind %S" s)
 
+  (* [matches] only understands a trailing [*]; one anywhere else
+     would silently match no site. *)
+  let inner_wildcard site =
+    match String.index_opt site '*' with
+    | Some j -> j < String.length site - 1
+    | None -> false
+
   let parse_clause clause =
     let clause = String.trim clause in
     match String.index_opt clause ':' with
@@ -239,6 +246,9 @@ module Fault = struct
     | Some i ->
         let site = String.trim (String.sub clause 0 i) in
         if site = "" then Error (Printf.sprintf "clause %S has no site" clause)
+        else if inner_wildcard site then
+          Error
+            (Printf.sprintf "site %S: '*' is only allowed at the end" site)
         else
           let rest = String.sub clause (i + 1) (String.length clause - i - 1) in
           let* kind, p =

@@ -141,7 +141,9 @@ module Fault : sig
       [seed=42;backend.ese.prepare:exn@0.5;index.*:latency(2)@0.1;pool.task:transient]
       — semicolon-separated clauses; each is [seed=N] or
       [site:kind\[@probability\]] with kind [exn], [transient],
-      [latency(MS)] or [torn] and probability defaulting to [1]. *)
+      [latency(MS)] or [torn] and probability defaulting to [1]. A site
+      pattern may end in one [*] (prefix match); a [*] anywhere else is
+      an [Error], since it could match no site. *)
 
   val of_env : unit -> (t option, string) result
   (** [Workload.Config.fault ()] parsed with {!of_spec};

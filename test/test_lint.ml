@@ -19,106 +19,6 @@ let lint_src ?enabled src =
 let rules fs = List.map (fun (f : Lint.finding) -> f.Lint.rule) fs
 let rules_t = Alcotest.(list string)
 
-(* ------------------------- domain-unsafe-capture ----------------- *)
-
-let test_domain_fires () =
-  let fs =
-    lint_src
-      {|let total = ref 0
-let sum pool n =
-  Parallel.parallel_for pool ~lo:0 ~hi:n (fun i -> total := !total + i);
-  !total
-|}
-  in
-  Alcotest.check rules_t "ref := in pool closure" [ "domain-unsafe-capture" ]
-    (rules fs);
-  match fs with
-  | [ f ] -> Alcotest.(check int) "finding line" 3 f.Lint.line
-  | _ -> Alcotest.fail "expected exactly one finding"
-
-let test_domain_incr_fires () =
-  let fs =
-    lint_src
-      {|let hits = ref 0
-let count pool n =
-  Parallel.parallel_for pool ~lo:0 ~hi:n (fun _ -> incr hits)
-|}
-  in
-  Alcotest.check rules_t "bare incr in pool closure"
-    [ "domain-unsafe-capture" ] (rules fs)
-
-let test_domain_array_set_fires () =
-  let fs =
-    lint_src
-      {|let fill pool out =
-  Parallel.map_array pool (fun i -> out.(i) <- i; i) (Array.init 4 Fun.id)
-|}
-  in
-  Alcotest.check rules_t "outer array set in pool closure"
-    [ "domain-unsafe-capture" ] (rules fs)
-
-let test_domain_pragma () =
-  (* [out.(0)] — a shared slot, so the finding is real and only the
-     pragma keeps it quiet (the [out.(i)] gather is exempt outright;
-     see the lock-set tests below). *)
-  let fs =
-    lint_src
-      {|let fill pool out =
-  Parallel.parallel_for pool ~lo:0 ~hi:4 (fun i ->
-    (* iqlint: allow domain-unsafe-capture — last writer wins is fine here *)
-    out.(0) <- i)
-|}
-  in
-  Alcotest.check rules_t "pragma suppresses" [] (rules fs)
-
-let test_domain_atomic_ok () =
-  (* The PR-1 idiom: instrumentation counters inside pool closures go
-     through Atomic and must NOT be flagged. *)
-  let fs =
-    lint_src
-      {|let count = Atomic.make 0
-let eval pool xs =
-  Parallel.map_array pool
-    (fun x ->
-      Atomic.incr count;
-      Atomic.set count (Atomic.get count);
-      x + 1)
-    xs
-|}
-  in
-  Alcotest.check rules_t "Atomic.incr/set in pool closure is clean" []
-    (rules fs)
-
-let test_domain_local_mutation_ok () =
-  let fs =
-    lint_src
-      {|let sums pool xs =
-  Parallel.map_array pool
-    (fun (lo, hi) ->
-      let acc = ref 0 in
-      for i = lo to hi - 1 do
-        acc := !acc + i
-      done;
-      !acc)
-    xs
-|}
-  in
-  Alcotest.check rules_t "closure-local ref is clean" [] (rules fs)
-
-let test_domain_mutex_ok () =
-  let fs =
-    lint_src
-      {|let total = ref 0
-let m = Mutex.create ()
-let sum pool n =
-  Parallel.parallel_for pool ~lo:0 ~hi:n (fun i ->
-    Mutex.lock m;
-    total := !total + i;
-    Mutex.unlock m)
-|}
-  in
-  Alcotest.check rules_t "Mutex.lock-guarded mutation is clean" [] (rules fs)
-
 (* ------------------------- float-exact-compare ------------------- *)
 
 let test_float_fires () =
@@ -337,85 +237,8 @@ let lint_project files =
     ~finally:(fun () -> rm_project dir)
     (fun () -> Lint.lint_paths [ dir ])
 
-(* The text report of a whole-program lint run with [jobs] workers. *)
-let lint_text ~jobs dir =
-  Lint.lint_paths ~jobs [ dir ]
-  |> List.map (Format.asprintf "%a" Lint.pp_finding)
-  |> String.concat "\n"
-
 let by_rule rule fs =
   List.filter (fun (f : Lint.finding) -> f.Lint.rule = rule) fs
-
-(* ------------------------- domain-unsafe-call -------------------- *)
-
-let shared_counter_ml = "let count = ref 0\nlet bump () = count := !count + 1\n"
-
-let test_cg_cross_module_call () =
-  let fs =
-    lint_project
-      [
-        ("dune", "(library (name fixlib))\n");
-        ("a.ml", shared_counter_ml);
-        ( "b.ml",
-          "let run pool n =\n\
-          \  Parallel.parallel_for pool ~lo:0 ~hi:n (fun _ -> A.bump ())\n" );
-      ]
-  in
-  match by_rule "domain-unsafe-call" fs with
-  | [ f ] ->
-      Alcotest.(check bool) "flagged in b.ml" true
-        (Filename.basename f.Lint.file = "b.ml");
-      Alcotest.(check int) "at the call line" 2 f.Lint.line;
-      Alcotest.(check bool) "names the callee" true (contains f.Lint.message "A.bump")
-  | fs' ->
-      Alcotest.failf "expected one domain-unsafe-call, got %d" (List.length fs')
-
-let test_cg_ext_mutator_call () =
-  let fs =
-    lint_project
-      [
-        ("dune", "(library (name fixlib))\n");
-        ( "a.ml",
-          "let tbl = Hashtbl.create 16\n\
-           let remember k v = Hashtbl.replace tbl k v\n" );
-        ( "b.ml",
-          "let fill pool n =\n\
-          \  Parallel.parallel_for pool ~lo:0 ~hi:n (fun i -> A.remember i i)\n"
-        );
-      ]
-  in
-  Alcotest.(check int) "Hashtbl.replace on module state propagates" 1
-    (List.length (by_rule "domain-unsafe-call" fs))
-
-let test_cg_shadowing_no_edge () =
-  let fs =
-    lint_project
-      [
-        ("dune", "(library (name fixlib))\n");
-        ( "a.ml",
-          shared_counter_ml
-          ^ "let run pool n =\n\
-            \  let bump _ = 0 in\n\
-            \  Parallel.parallel_for pool ~lo:0 ~hi:n (fun i -> bump i)\n" );
-      ]
-  in
-  Alcotest.check rules_t "local binding shadows the shared mutator" []
-    (rules (by_rule "domain-unsafe-call" fs))
-
-let test_cg_alias_resolves () =
-  let fs =
-    lint_project
-      [
-        ("dune", "(library (name fixlib))\n");
-        ("a.ml", shared_counter_ml);
-        ( "c.ml",
-          "module M = A\n\
-           let go pool n =\n\
-          \  Parallel.parallel_for pool ~lo:0 ~hi:n (fun _ -> M.bump ())\n" );
-      ]
-  in
-  Alcotest.(check int) "module alias resolves to the mutator" 1
-    (List.length (by_rule "domain-unsafe-call" fs))
 
 (* ------------------------- dead-export --------------------------- *)
 
@@ -519,6 +342,50 @@ let test_engine_boundary_fixed_by_guard () =
   Alcotest.check rules_t "result-wrapper entry points are clean" []
     (rules (by_rule "engine-boundary-raise" fs))
 
+(* ------------------------- call-graph resolution ----------------- *)
+
+(* Resolution seen through engine-boundary-raise: an exported Engine
+   value inherits the exceptions of exactly the callees it resolves
+   to. *)
+let boundary_findings files =
+  by_rule "engine-boundary-raise"
+    (lint_project (("dune", "(library (name fixeng))\n") :: files))
+
+let engine_find_mli =
+  ("engine.mli", "val find : (string, int) Hashtbl.t -> string -> int\n")
+
+let test_cg_shadowing_no_edge () =
+  let fs =
+    boundary_findings
+      [
+        ( "engine.ml",
+          "let lookup t k = Hashtbl.find t k\n\
+           let find t k =\n\
+          \  let lookup _ _ = 0 in\n\
+          \  lookup t k\n" );
+        engine_find_mli;
+      ]
+  in
+  Alcotest.check rules_t "a shadowing local does not inherit the raise" []
+    (rules fs)
+
+let test_cg_alias_resolves () =
+  let fs =
+    boundary_findings
+      [
+        ("a.ml", "let lookup t k = Hashtbl.find t k\n");
+        ("engine.ml", "module M = A\nlet find t k = M.lookup t k\n");
+        engine_find_mli;
+      ]
+  in
+  match fs with
+  | [ f ] ->
+      Alcotest.(check bool) "the witness goes through the aliased module" true
+        (contains f.Lint.message "Engine.find -> A.lookup (raises Not_found at")
+  | fs' ->
+      Alcotest.failf "expected one engine-boundary-raise, got %d"
+        (List.length fs')
+
 (* ------------------------- findings ------------------------------ *)
 
 let one_finding =
@@ -539,23 +406,6 @@ let test_finding_pp_and_order () =
     (Lint.compare_finding earlier one_finding < 0);
   Alcotest.(check int) "compare_finding is reflexive" 0
     (Lint.compare_finding one_finding one_finding)
-
-let test_jobs_deterministic () =
-  let dir =
-    write_project
-      [
-        ("dune", "(library (name fixlib))\n");
-        ("a.ml", "let bad x = x = 0.0\nlet worse l = List.hd l\n");
-        ("b.ml", "let also y = y = 1.5\n");
-        ("c.ml", "let third o = Option.get o\n");
-      ]
-  in
-  Fun.protect
-    ~finally:(fun () -> rm_project dir)
-    (fun () ->
-      let o1 = lint_text ~jobs:1 dir and o4 = lint_text ~jobs:4 dir in
-      Alcotest.(check bool) "found something" true (o1 <> "");
-      Alcotest.(check string) "jobs:4 output byte-identical to jobs:1" o1 o4)
 
 (* ------------------------- pragma granularity -------------------- *)
 
@@ -586,78 +436,6 @@ let a l = List.hd l
   in
   Alcotest.check rules_t "scan stops at the first non-rule token"
     [ "partial-function" ] (rules fs)
-
-(* ------------------------- lock-set exemptions ------------------- *)
-
-let test_lockset_disjoint_slot_ok () =
-  let fs =
-    lint_src
-      {|let fill pool out =
-  Parallel.parallel_for pool ~lo:0 ~hi:4 (fun i -> out.(i) <- i)
-|}
-  in
-  Alcotest.check rules_t "out.(i) <- with i the closure param is exempt" []
-    (rules (by_rule "domain-unsafe-capture" fs))
-
-let test_lockset_shared_slot_fires () =
-  let fs =
-    lint_src
-      {|let fill pool out =
-  Parallel.parallel_for pool ~lo:0 ~hi:4 (fun i -> out.(0) <- i)
-|}
-  in
-  Alcotest.check rules_t "a shared slot still fires"
-    [ "domain-unsafe-capture" ]
-    (rules (by_rule "domain-unsafe-capture" fs))
-
-let test_lockset_map_array_index_fires () =
-  (* map_array closures receive elements, not indices, so a variable
-     used as an index there is never the iteration counter. *)
-  let fs =
-    lint_src
-      {|let fill pool out xs =
-  Parallel.map_array pool (fun i -> out.(i) <- i; i) xs
-|}
-  in
-  Alcotest.check rules_t "map_array gets no disjoint-slot exemption"
-    [ "domain-unsafe-capture" ]
-    (rules (by_rule "domain-unsafe-capture" fs))
-
-let test_lockset_seq_pool_ok () =
-  let fs =
-    lint_src
-      {|let total = ref 0
-let sum n =
-  let pool = Parallel.create ~domains:1 () in
-  Parallel.parallel_for pool ~lo:0 ~hi:n (fun i -> total := !total + i);
-  !total
-|}
-  in
-  Alcotest.check rules_t "~domains:1 pool closures never leave the caller" []
-    (rules (by_rule "domain-unsafe-capture" fs));
-  (* The same fixture leaks the pool itself — the lifecycle rule owns
-     that complaint. *)
-  Alcotest.check rules_t "but the unclosed pool is a lifecycle finding"
-    [ "handle-lifecycle" ]
-    (rules (by_rule "handle-lifecycle" fs))
-
-let test_lockset_lock_wrapper_ok () =
-  let fs =
-    lint_src
-      {|let total = ref 0
-let m = Mutex.create ()
-let with_lock f =
-  Mutex.lock m;
-  let r = f () in
-  Mutex.unlock m;
-  r
-let sum pool n =
-  Parallel.parallel_for pool ~lo:0 ~hi:n (fun i ->
-    with_lock (fun () -> total := !total + i))
-|}
-  in
-  Alcotest.check rules_t "closure under a local lock wrapper is exempt" []
-    (rules (by_rule "domain-unsafe-capture" fs))
 
 (* ------------------------- handle-lifecycle ---------------------- *)
 
@@ -762,7 +540,7 @@ let test_lifecycle_pool_never_shutdown () =
       (lint_src
          {|let run () =
   let pool = Parallel.create () in
-  Parallel.parallel_for pool ~lo:0 ~hi:4 (fun _ -> ())
+  ignore (Parallel.map_array pool Fun.id [| 1 |])
 |})
   in
   match fs with
@@ -1033,7 +811,6 @@ let test_timings_payload () =
           "load";
           "per-file";
           "callgraph";
-          "effects";
           "exn-escape";
           "dead-export";
           "pragmas";
@@ -1054,38 +831,6 @@ let test_timings_flag () =
       let _, plain = run_main [ path ] in
       Alcotest.(check bool) "no timings without the flag" false
         (contains plain "iqlint: pass"))
-
-(* ------------------------- determinism over new passes ----------- *)
-
-let test_jobs_deterministic_protocol () =
-  (* Fixtures firing the lifecycle rule and every whole-program rule
-     at once: output must stay byte-identical across worker counts. *)
-  let dir =
-    write_project
-      (engine_fixture
-      @ [
-          ("a.ml", shared_counter_ml);
-          ( "b.ml",
-            "let run pool n =\n\
-            \  Parallel.parallel_for pool ~lo:0 ~hi:n (fun _ -> A.bump ())\n" );
-          ( "leak.ml",
-            "let slurp () =\n  let ic = open_in \"x\" in\n  input_line ic\n" );
-        ])
-  in
-  Fun.protect
-    ~finally:(fun () -> rm_project dir)
-    (fun () ->
-      let o1 = lint_text ~jobs:1 dir and o4 = lint_text ~jobs:4 dir in
-      List.iter
-        (fun rule ->
-          Alcotest.(check bool) (rule ^ " present") true (contains o1 rule))
-        [
-          "handle-lifecycle";
-          "domain-unsafe-call";
-          "engine-boundary-raise";
-          "dead-export";
-        ];
-      Alcotest.(check string) "jobs:4 output byte-identical to jobs:1" o1 o4)
 
 (* A handle closed outside a [Fun.protect] bracket leaks on the
    exception path. End to end through the CLI, the finding's text line
@@ -1178,20 +923,6 @@ let a l = List.hd l
 
 let suite =
   [
-    Alcotest.test_case "domain-unsafe-capture fires on := capture" `Quick
-      test_domain_fires;
-    Alcotest.test_case "domain-unsafe-capture fires on bare incr" `Quick
-      test_domain_incr_fires;
-    Alcotest.test_case "domain-unsafe-capture fires on outer array set" `Quick
-      test_domain_array_set_fires;
-    Alcotest.test_case "domain-unsafe-capture pragma suppresses" `Quick
-      test_domain_pragma;
-    Alcotest.test_case "domain-unsafe-capture: Atomic pool idiom clean" `Quick
-      test_domain_atomic_ok;
-    Alcotest.test_case "domain-unsafe-capture: local mutation clean" `Quick
-      test_domain_local_mutation_ok;
-    Alcotest.test_case "domain-unsafe-capture: Mutex-guarded clean" `Quick
-      test_domain_mutex_ok;
     Alcotest.test_case "float-exact-compare fires" `Quick test_float_fires;
     Alcotest.test_case "float-exact-compare: non-float compares clean" `Quick
       test_float_int_compare_clean;
@@ -1215,15 +946,6 @@ let suite =
       test_escape_pragma;
     Alcotest.test_case "assert <condition> is clean" `Quick
       test_assert_condition_clean;
-    Alcotest.test_case "CLI: clean file exits 0" `Quick test_exit_clean;
-    Alcotest.test_case "CLI: finding exits 1 with file:line [rule]" `Quick
-      test_exit_finding;
-    Alcotest.test_case "CLI: --rules/--disable toggle" `Quick test_rule_toggle;
-    Alcotest.test_case "CLI: unknown rule id exits 2" `Quick test_unknown_rule;
-    Alcotest.test_case "callgraph: cross-module shared mutation in pool" `Quick
-      test_cg_cross_module_call;
-    Alcotest.test_case "callgraph: ext mutator on module state propagates"
-      `Quick test_cg_ext_mutator_call;
     Alcotest.test_case "callgraph: shadowed name resolves to the binder" `Quick
       test_cg_shadowing_no_edge;
     Alcotest.test_case "callgraph: module alias resolves" `Quick
@@ -1236,24 +958,19 @@ let suite =
       test_engine_boundary_fixed_by_guard;
     Alcotest.test_case "pp_finding / compare_finding" `Quick
       test_finding_pp_and_order;
-    Alcotest.test_case "pool size never changes findings" `Quick
-      test_jobs_deterministic;
+    Alcotest.test_case "witness lines in lifecycle messages" `Quick
+      test_witness_lines_in_messages;
+    Alcotest.test_case "CLI: clean file exits 0" `Quick test_exit_clean;
+    Alcotest.test_case "CLI: finding exits 1 with file:line [rule]" `Quick
+      test_exit_finding;
+    Alcotest.test_case "CLI: --rules/--disable toggle" `Quick test_rule_toggle;
+    Alcotest.test_case "CLI: unknown rule id exits 2" `Quick test_unknown_rule;
     Alcotest.test_case "pragma suppresses only the named rule" `Quick
       test_pragma_granularity;
     Alcotest.test_case "pragma 'allow all' suppresses the line" `Quick
       test_pragma_all;
     Alcotest.test_case "pragma scan stops at unknown token" `Quick
       test_pragma_unknown_token_stops;
-    Alcotest.test_case "lock-set: parallel_for disjoint slot exempt" `Quick
-      test_lockset_disjoint_slot_ok;
-    Alcotest.test_case "lock-set: shared slot still fires" `Quick
-      test_lockset_shared_slot_fires;
-    Alcotest.test_case "lock-set: map_array index not exempt" `Quick
-      test_lockset_map_array_index_fires;
-    Alcotest.test_case "lock-set: ~domains:1 pool exempt" `Quick
-      test_lockset_seq_pool_ok;
-    Alcotest.test_case "lock-set: local lock wrapper exempt" `Quick
-      test_lockset_lock_wrapper_ok;
     Alcotest.test_case "handle-lifecycle: never closed" `Quick
       test_lifecycle_never_closed;
     Alcotest.test_case "handle-lifecycle: double close" `Quick
@@ -1302,10 +1019,6 @@ let suite =
       test_timings_payload;
     Alcotest.test_case "--timings flag in text output" `Quick
       test_timings_flag;
-    Alcotest.test_case "--jobs identical across protocol passes" `Quick
-      test_jobs_deterministic_protocol;
-    Alcotest.test_case "witness lines in lifecycle messages" `Quick
-      test_witness_lines_in_messages;
     Alcotest.test_case "--explain prints rationale and example" `Quick
       test_explain_flag;
     Alcotest.test_case "pragma above a multi-line attribute" `Quick

@@ -1,8 +1,8 @@
 (* The Parallel Domain pool: pool semantics (order preservation,
    exception propagation, nesting, sequential bypass) plus the
    determinism contract of the parallel search paths — Min-Cost /
-   Max-Hit outcomes and built indexes must be identical under
-   IQ_DOMAINS=1 and IQ_DOMAINS=4. *)
+   Max-Hit outcomes, their evaluation counts and built indexes must be
+   identical under IQ_DOMAINS=1 and IQ_DOMAINS=4. *)
 
 open Iq
 
@@ -39,15 +39,19 @@ let test_map_array_matches_sequential () =
     "pool result = Array.map" true
     (Parallel.map_array pool4 f arr = Array.map f arr)
 
-let test_parallel_for_covers () =
+let test_map_array_covers () =
   let n = 2048 in
-  let marks = Array.make n 0 in
-  (* Distinct slots per index: no two domains touch the same cell. *)
-  Parallel.parallel_for pool4 ~lo:0 ~hi:n (fun i -> marks.(i) <- marks.(i) + 1);
+  let marks = Array.init n (fun _ -> Atomic.make 0) in
+  ignore
+    (Parallel.map_array pool4
+       (fun i -> Atomic.incr marks.(i))
+       (Array.init n Fun.id));
   Alcotest.(check bool)
-    "every index exactly once" true
-    (Array.for_all (fun c -> c = 1) marks);
-  Parallel.parallel_for pool4 ~lo:5 ~hi:5 (fun _ -> Alcotest.fail "empty range")
+    "every element exactly once" true
+    (Array.for_all (fun c -> Atomic.get c = 1) marks);
+  Alcotest.(check int) "empty input runs nothing" 0
+    (Array.length
+       (Parallel.map_array pool4 (fun _ -> Alcotest.fail "empty input") [||]))
 
 exception Boom of int
 
@@ -62,14 +66,18 @@ let test_exception_propagation () =
     with Boom x -> Some x
   in
   Alcotest.(check (option int)) "map_array re-raises" (Some 321) raised;
-  let raised_for =
+  (* The seed element runs on the caller before any chunk is
+     dispatched; its exception propagates directly. *)
+  let raised_seed =
     try
-      Parallel.parallel_for pool4 ~lo:0 ~hi:1000 (fun i ->
-          if i = 7 then failwith "for-boom");
+      ignore
+        (Parallel.map_array pool4
+           (fun i -> if i = 0 then failwith "seed-boom" else i)
+           (Array.init 1000 Fun.id));
       false
-    with Failure m -> m = "for-boom"
+    with Failure m -> m = "seed-boom"
   in
-  Alcotest.(check bool) "parallel_for re-raises" true raised_for;
+  Alcotest.(check bool) "seed element re-raises" true raised_seed;
   (* The pool survives a failed job. *)
   let ok = Parallel.map_array pool4 (fun x -> x + 1) [| 1; 2; 3 |] in
   Alcotest.(check bool) "pool usable after failure" true (ok = [| 2; 3; 4 |])
@@ -85,8 +93,10 @@ let test_raise_at_every_position () =
   for bad = 0 to n - 1 do
     let raised =
       try
-        Parallel.parallel_for pool4 ~lo:0 ~hi:n (fun i ->
-            if i = bad then raise (Boom i));
+        ignore
+          (Parallel.map_array pool4
+             (fun i -> if i = bad then raise (Boom i) else i)
+             (Array.init n Fun.id));
         false
       with Boom i -> i = bad
     in
@@ -102,9 +112,10 @@ let test_raise_at_every_position () =
 let test_stop_drains_cleanly () =
   let count = Atomic.make 0 in
   let stop () = Atomic.get count >= 5 in
-  (* iqlint: allow domain-unsafe-capture — atomic counter. *)
-  Parallel.parallel_for ~stop pool4 ~lo:0 ~hi:10_000 (fun _ ->
-      Atomic.incr count);
+  ignore
+    (Parallel.map_array ~stop pool4
+       (fun _ -> Atomic.incr count)
+       (Array.init 10_000 Fun.id));
   Alcotest.(check bool)
     "stop abandoned most of the range" true
     (Atomic.get count < 10_000);
@@ -120,10 +131,10 @@ let test_stop_drains_cleanly () =
   Alcotest.(check int) "length preserved under stop" 100 (Array.length r);
   let raised =
     try
-      Parallel.parallel_for
-        ~on_chunk:(fun () -> failwith "chunk-boom")
-        pool4 ~lo:0 ~hi:100
-        (fun _ -> ());
+      ignore
+        (Parallel.map_array
+           ~on_chunk:(fun () -> failwith "chunk-boom")
+           pool4 Fun.id (Array.init 100 Fun.id));
       false
     with Failure m -> m = "chunk-boom"
   in
@@ -150,10 +161,15 @@ let test_sequential_bypass () =
   (* A domains=1 pool runs everything on the caller: side-effect order
      is exactly the sequential one. *)
   let seen = ref [] in
-  (* A single-domain pool runs on the caller, so the race the rule
-     guards against cannot occur. *)
-  Parallel.parallel_for pool1 ~lo:0 ~hi:5 (fun i -> seen := i :: !seen);
-  Alcotest.(check (list int)) "caller-order iteration" [ 4; 3; 2; 1; 0 ] !seen
+  let r =
+    Parallel.map_array pool1
+      (fun i ->
+        seen := i :: !seen;
+        i * i)
+      (Array.init 5 Fun.id)
+  in
+  Alcotest.(check (list int)) "caller-order iteration" [ 4; 3; 2; 1; 0 ] !seen;
+  Alcotest.(check (array int)) "results in place" [| 0; 1; 4; 9; 16 |] r
 
 let test_shutdown_idempotent () =
   let p = Parallel.create ~domains:3 () in
@@ -203,6 +219,9 @@ let same_min_cost_outcome (a : Min_cost.outcome option) b =
       && a.Min_cost.total_cost = b.Min_cost.total_cost
       && a.Min_cost.incremental_cost = b.Min_cost.incremental_cost
       && a.Min_cost.hits_after = b.Min_cost.hits_after
+      (* Evaluations are counted by an Atomic that every pool task
+         bumps; a non-atomic counter would lose increments here. *)
+      && a.Min_cost.evaluations = b.Min_cost.evaluations
   | _ -> false
 
 let prop_search_deterministic_across_domains =
@@ -244,6 +263,7 @@ let prop_search_deterministic_across_domains =
              && mh1.Max_hit.strategy = mh4.Max_hit.strategy
              && mh1.Max_hit.incremental_cost = mh4.Max_hit.incremental_cost
              && mh1.Max_hit.hits_after = mh4.Max_hit.hits_after
+             && mh1.Max_hit.evaluations = mh4.Max_hit.evaluations
            end
       end)
 
@@ -282,8 +302,7 @@ let suite =
     Alcotest.test_case "map_array preserves order" `Quick test_map_array_order;
     Alcotest.test_case "map_array = Array.map" `Quick
       test_map_array_matches_sequential;
-    Alcotest.test_case "parallel_for covers range" `Quick
-      test_parallel_for_covers;
+    Alcotest.test_case "map_array covers range" `Quick test_map_array_covers;
     Alcotest.test_case "exception propagation" `Quick
       test_exception_propagation;
     Alcotest.test_case "raise at every position drains" `Quick

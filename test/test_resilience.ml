@@ -137,6 +137,9 @@ let test_spec_parsing () =
       "seed=xyz;site:exn";
       "site:latency(-3)";
       ":exn";
+      (* Only a trailing wildcard matches anything. *)
+      "backend.*.prepare:exn";
+      "*.prepare:exn";
     ]
 
 let test_schedule_deterministic () =
@@ -265,6 +268,33 @@ let test_circuit_breaker () =
     (bstat st2 "ese").Engine.b_attempts;
   Alcotest.(check int) "skip counted as fallback" 2
     (bstat st2 "ese").Engine.b_fallbacks
+
+(* With every backend's circuit open the chain has nothing left to
+   try; the error must say so, not claim the chain is empty. *)
+let test_all_circuits_open () =
+  let inst = make_instance () in
+  let f =
+    Fault.make ~seed:1
+      (List.map
+         (fun b -> ("backend." ^ b ^ ".prepare", Fault.Exn, 1.))
+         [ "ese"; "rta"; "scan" ])
+  in
+  let e = engine ~resilience:(chaos ~threshold:1 f) inst in
+  (match Engine.hits e ~target:0 with
+  | Ok _ -> Alcotest.fail "every prepare was injected to fail"
+  | Error _ -> ());
+  List.iter
+    (fun b ->
+      Alcotest.(check bool) (b ^ " circuit open") true
+        (bstat (Engine.stats e) b).Engine.b_circuit_open)
+    [ "ese"; "rta"; "scan" ];
+  match Engine.hits e ~target:0 with
+  | Error (Engine.Error.Internal msg) ->
+      Alcotest.(check string) "names the open circuits"
+        "Failure(\"Engine: every backend circuit is open\")" msg
+  | Error e ->
+      Alcotest.failf "unexpected error: %s" (Engine.Error.to_string e)
+  | Ok _ -> Alcotest.fail "every circuit is open"
 
 let test_eval_fault_fails_over () =
   let inst = make_instance () in
@@ -683,6 +713,8 @@ let suite =
       test_transient_retry_succeeds;
     Alcotest.test_case "engine: circuit breaker opens" `Quick
       test_circuit_breaker;
+    Alcotest.test_case "engine: every circuit open is reported" `Quick
+      test_all_circuits_open;
     Alcotest.test_case "engine: eval fault fails over mid-search" `Quick
       test_eval_fault_fails_over;
     Alcotest.test_case "engine: deadline -> typed partial" `Quick
