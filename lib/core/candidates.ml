@@ -20,7 +20,7 @@ let step_key step =
    and only such pairs get rendered. Non-finite values (NaN, inf) and
    every pair that passes, [±0] included, go to the string compare,
    so the relation is exactly key equality. *)
-let may_share_key x y =
+let[@inline] may_share_key x y =
   (not (Float.is_finite x && Float.is_finite y))
   || Float.abs (x -. y) <= 1e-10 *. Float.max (Float.abs x) (Float.abs y)
 
@@ -39,12 +39,17 @@ let close_steps a b =
    the steps that may share a key with a step form a contiguous run
    next to it (closeness to a finite value is an interval; NaNs and
    each infinity sort together at the ends), so each step is compared
-   only with the run after it, and a key is rendered once, on demand. *)
+   only with the run after it, and a key is rendered once, on demand.
+   [leads] holds the first coordinates unboxed, so the sort and the run
+   test read floats without allocating. *)
 let duplicates steps =
   let n = Array.length steps in
-  let lead i = if Array.length steps.(i) = 0 then 0. else steps.(i).(0) in
+  let leads = Array.create_float n in
+  Array.iteri
+    (fun i step -> leads.(i) <- (if Array.length step = 0 then 0. else step.(0)))
+    steps;
   let by_lead = Array.init n Fun.id in
-  Array.stable_sort (fun a b -> Float.compare (lead a) (lead b)) by_lead;
+  Array.stable_sort (fun a b -> Float.compare leads.(a) leads.(b)) by_lead;
   let keys = Array.make n None in
   let key i =
     match keys.(i) with
@@ -58,7 +63,7 @@ let duplicates steps =
   for p = 0 to n - 1 do
     let i = by_lead.(p) in
     let r = ref (p + 1) in
-    while !r < n && may_share_key (lead i) (lead by_lead.(!r)) do
+    while !r < n && may_share_key leads.(i) leads.(by_lead.(!r)) do
       let j = by_lead.(!r) in
       if close_steps steps.(i) steps.(j) && String.equal (key i) (key j) then
         dup.(Int.max i j) <- true;
@@ -67,15 +72,16 @@ let duplicates steps =
   done;
   dup
 
-(* [found] is built in descending q order and reversed once, so the
-   dedup keeps the lowest-q copy; the result is back in descending q
-   order, which a stable cost sort turns into the searches' tie order
-   (highest query first). *)
+(* [found] is built in descending q order; the steps array indexes it
+   from the back (ascending q), so the dedup keeps the lowest-q copy,
+   and the filtered list stays in descending q order, which a stable
+   cost sort turns into the searches' tie order (highest query
+   first). *)
 let scan ~queries ~skip ~hit_constraint ~(cost : Cost.t) ~p0 ~total_bounds
     ~s_star ?max_step_cost () =
   let current = Vec.add p0 s_star in
   let bounds = remaining_bounds total_bounds s_star in
-  let found = ref [] in
+  let found = ref [] and n = ref 0 in
   for q = 0 to queries - 1 do
     if not (skip q) then
       match hit_constraint ~q ~current with
@@ -90,21 +96,50 @@ let scan ~queries ~skip ~hit_constraint ~(cost : Cost.t) ~p0 ~total_bounds
                 | None -> true
                 | Some ceiling -> c <= ceiling +. 1e-12
               in
-              if fits then found := (step, c) :: !found)
+              if fits then begin
+                found := (step, c) :: !found;
+                incr n
+              end)
   done;
-  let found = Array.of_list (List.rev !found) in
-  let dup = duplicates (Array.map fst found) in
-  let steps = ref [] in
-  Array.iteri (fun i sc -> if not dup.(i) then steps := sc :: !steps) found;
-  !steps
+  let n = !n in
+  let steps = Array.make n [||] in
+  List.iteri (fun p (step, _) -> steps.(n - 1 - p) <- step) !found;
+  let dup = duplicates steps in
+  List.filteri (fun p _ -> not dup.(n - 1 - p)) !found
+
+(* The first [n] of a stable sort by cost, selected into [n] slots
+   without sorting the rest: an entry displaces only strictly costlier
+   ones, so it lands after every kept entry of equal cost, as the
+   stable sort would place it. *)
+let select_cheapest n by_cost = function
+  | [] -> []
+  | first :: _ as steps ->
+      let kept = Array.make n first and costs = Array.create_float n in
+      let len = ref 0 in
+      List.iter
+        (fun x ->
+          let c = by_cost x in
+          let full = !len >= n in
+          if (not full) || Float.compare c costs.(n - 1) < 0 then begin
+            let pos = ref (if full then n - 1 else !len) in
+            while !pos > 0 && Float.compare c costs.(!pos - 1) < 0 do
+              kept.(!pos) <- kept.(!pos - 1);
+              costs.(!pos) <- costs.(!pos - 1);
+              decr pos
+            done;
+            kept.(!pos) <- x;
+            costs.(!pos) <- c;
+            if not full then incr len
+          end)
+        steps;
+      List.init !len (fun i -> kept.(i))
 
 let cheapest ~cap by_cost steps =
-  let sorted =
-    List.stable_sort (fun a b -> Float.compare (by_cost a) (by_cost b)) steps
-  in
   match cap with
-  | None -> sorted
-  | Some n -> List.filteri (fun i _ -> i < n) sorted
+  | Some n when n <= 0 -> []
+  | Some n when n < List.length steps -> select_cheapest n by_cost steps
+  | Some _ | None ->
+      List.stable_sort (fun a b -> Float.compare (by_cost a) (by_cost b)) steps
 
 let collect ?pool ?fault ~budget ~(evaluator : Evaluator.t) ~(cost : Cost.t)
     ~p0 ~total_bounds ~s_star ~cap ?max_step_cost () =

@@ -60,7 +60,9 @@ val collect :
     [pool.task] injection site at every pool chunk boundary. *)
 
 val cheapest : cap:int option -> ('a -> float) -> 'a list -> 'a list
-(** Stable sort by the given cost, then the first [cap] entries. *)
+(** Stable sort by the given cost ([Float.compare]), then the first
+    [cap] entries. A cap below the list length selects them into [cap]
+    slots in one pass instead of sorting the whole list. *)
 
 val ratio : t -> float
 (** Cost per hit: [step_cost / hits], [infinity] for [hits <= 0]. *)

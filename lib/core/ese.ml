@@ -11,14 +11,31 @@ open Geom
    exact minimal rival set is [{ kth_other q : q }]. We store it as a
    CSR index — queries grouped by their kth rival — and test each
    rival's disjoint query block directly, with no R-tree walk and no
-   dedup. Both paths flag a query with the same sign test on the same
-   floats, so [evaluate] results are bit-for-bit identical. *)
+   dedup. Both paths flag a query with the same side test on the same
+   floats, and re-score every flagged query exactly, so [evaluate]
+   results are bit-for-bit identical.
+
+   A query is flagged unless its plane value lies strictly on one side
+   of the plane at both positions. A value on the plane is a score tie
+   with the rival, which the ids decide: a target that wins the tie is
+   a member there, one that loses is not, so a sign test that put the
+   plane on one side would miss the target leaving (or entering) a
+   query it ties with — duplicate objects do exactly that.
+
+   [evaluate] always classifies from the unimproved target, so the
+   before side of every slab is a constant of the state: [prepare]
+   freezes it as two floats per rival and one byte per CSR slot,
+   computed with the operation sequence the general path uses. *)
 type mode =
   | Full
   | Kth of {
       rivals : int array; (* distinct kth rivals, ascending *)
       roff : int array; (* CSR offsets into [rq]; length rivals+1 *)
       rq : int array; (* query ids grouped by kth rival *)
+      brange : float array;
+          (* [2ri], [2ri+1]: low and high of the before-side normal
+             [(target - rival) +. 0.] over the query box *)
+      bside : Bytes.t; (* per CSR slot: [side] of the before-side plane value *)
     }
 
 type state = {
@@ -40,27 +57,37 @@ type state = {
   eval_count : int Atomic.t;
 }
 
-let better (s1, i1) (s2, i2) = s1 < s2 || (s1 = s2 && i1 < i2)
-
 (* Group queries by their kth rival into a CSR index: a stable sort of
    the query ids by rival keeps rivals ascending and each block in
    query order. It works in O(m log m) on query-sized arrays only — no
    [n_objects]-sized scratch per prepare (see DESIGN.md, "Hot-path
-   layout & pruning"). *)
+   layout & pruning"). Returns [(rivals, roff, rq)]. *)
 let build_kth_csr kth =
-  let rq =
-    Array.of_list
-      (List.filter (fun q -> kth.(q) >= 0) (List.init (Array.length kth) Fun.id))
-  in
+  let n = Array.fold_left (fun acc r -> if r >= 0 then acc + 1 else acc) 0 kth in
+  let rq = Array.make n 0 and c = ref 0 in
+  Array.iteri
+    (fun q r ->
+      if r >= 0 then begin
+        rq.(!c) <- q;
+        incr c
+      end)
+    kth;
   Array.stable_sort (fun a b -> Int.compare kth.(a) kth.(b)) rq;
-  let n = Array.length rq in
-  let starts =
-    List.filter
-      (fun c -> c = 0 || kth.(rq.(c)) <> kth.(rq.(c - 1)))
-      (List.init n Fun.id)
-  in
-  let rivals = Array.of_list (List.map (fun c -> kth.(rq.(c))) starts) in
-  Kth { rivals; roff = Array.of_list (starts @ [ n ]); rq }
+  let starts c = c = 0 || kth.(rq.(c)) <> kth.(rq.(c - 1)) in
+  let nr = ref 0 in
+  for c = 0 to n - 1 do
+    if starts c then incr nr
+  done;
+  let rivals = Array.make !nr 0 and roff = Array.make (!nr + 1) n in
+  let ri = ref 0 in
+  for c = 0 to n - 1 do
+    if starts c then begin
+      rivals.(!ri) <- kth.(rq.(c));
+      roff.(!ri) <- c;
+      incr ri
+    end
+  done;
+  (rivals, roff, rq)
 
 (* The dominance-layer certificate (see DESIGN.md, "Hot-path layout &
    pruning"). Pruning to the kth-rival set is exact unconditionally;
@@ -93,6 +120,74 @@ let certificate_holds inst ~layers ~kth =
    with Exit -> ());
   !ok
 
+(* One side of a rival's slab: fill [n] with the normal
+   [(target - rival) +. s] and set [range.(0)]/[range.(1)] to its low
+   and high over the query bounding box, in one pass with no
+   allocation. Both sides of every slab, frozen or not, come from here,
+   so they share one operation sequence: the [base +. s] normal of the
+   original [Vec.sub]/[Vec.add] + [dot_range] code. *)
+let fill_side t ~rival ~s ~n ~range =
+  let d = t.dim in
+  if Array.length s <> d then invalid_arg "Geom.Vec: dimension mismatch";
+  let fdata = t.fdata in
+  let toff = t.target * d and roff = rival * d in
+  let lo = ref 0. and hi = ref 0. in
+  for j = 0 to d - 1 do
+    let v = fdata.(toff + j) -. fdata.(roff + j) +. s.(j) in
+    n.(j) <- v;
+    if v >= 0. then begin
+      lo := !lo +. (v *. t.domain_lo.(j));
+      hi := !hi +. (v *. t.domain_hi.(j))
+    end
+    else begin
+      lo := !lo +. (v *. t.domain_hi.(j));
+      hi := !hi +. (v *. t.domain_lo.(j))
+    end
+  done;
+  range.(0) <- !lo;
+  range.(1) <- !hi
+
+(* Whether some query in the box can change membership between a
+   before side ranging over [blo, bhi] and an after side over
+   [alo, ahi]: not when both ranges lie strictly on one side. Rounding
+   is monotone, so the box ranges bound every query's plane value. *)
+let[@inline] may_change ~blo ~bhi ~alo ~ahi =
+  not ((blo > 0. && alo > 0.) || (bhi < 0. && ahi < 0.))
+
+(* The side of query [q]'s plane value [n . w_q], accumulated in index
+   order: ['+'] strictly above, ['-'] strictly below, ['0'] on the
+   plane (a score tie) or NaN. *)
+let[@inline] side t n ~q =
+  let d = t.dim and wdata = t.wdata in
+  let woff = q * d in
+  let acc = ref 0. in
+  for j = 0 to d - 1 do
+    acc := !acc +. (n.(j) *. wdata.(woff + j))
+  done;
+  if !acc > 0. then '+' else if !acc < 0. then '-' else '0'
+
+(* A query whose before and after sides are not the same strict side
+   may change membership; [member_after] decides it exactly. *)
+let[@inline] may_flip before after = before = '0' || before <> after
+
+(* The before side of every slab [evaluate] classifies: the target at
+   [s = 0], for each kth rival, computed once here. *)
+let freeze_before t (rivals, roff, rq) =
+  let nr = Array.length rivals in
+  let zero = Vec.zero t.dim and nb = Vec.zero t.dim in
+  let range = Array.make 2 0. in
+  let brange = Array.make (2 * nr) 0. in
+  let bside = Bytes.create (Array.length rq) in
+  for ri = 0 to nr - 1 do
+    fill_side t ~rival:rivals.(ri) ~s:zero ~n:nb ~range;
+    brange.(2 * ri) <- range.(0);
+    brange.((2 * ri) + 1) <- range.(1);
+    for c = roff.(ri) to roff.(ri + 1) - 1 do
+      Bytes.set bside c (side t nb ~q:rq.(c))
+    done
+  done;
+  Kth { rivals; roff; rq; brange; bside }
+
 let prepare ?layers index ~target =
   let inst = Query_index.instance index in
   let m = Instance.n_queries inst in
@@ -119,27 +214,27 @@ let prepare ?layers index ~target =
         (* Same accumulation as [Vec.dot w features.(id)]. *)
         thr.(q) <- Flat.dot flat id inst.Instance.queries.(q).Topk.Query.weights
   done;
-  let mode =
-    match layers with
-    | Some layers when certificate_holds inst ~layers ~kth ->
-        build_kth_csr kth
-    | Some _ | None -> Full
+  let t =
+    {
+      index;
+      target;
+      members;
+      base;
+      domain_lo;
+      domain_hi;
+      dim = d;
+      fdata = Flat.data flat;
+      wdata = Flat.data inst.Instance.qflat;
+      kth;
+      thr;
+      mode = Full;
+      eval_count = Atomic.make 0;
+    }
   in
-  {
-    index;
-    target;
-    members;
-    base;
-    domain_lo;
-    domain_hi;
-    dim = d;
-    fdata = Flat.data flat;
-    wdata = Flat.data inst.Instance.qflat;
-    kth;
-    thr;
-    mode;
-    eval_count = Atomic.make 0;
-  }
+  match layers with
+  | Some layers when certificate_holds inst ~layers ~kth ->
+      { t with mode = freeze_before t (build_kth_csr kth) }
+  | Some _ | None -> t
 
 let base_hits t = t.base
 let member t ~q = t.members.(q)
@@ -151,94 +246,55 @@ let rival_count t =
   | Full -> Array.length (Query_index.candidate_rivals t.index)
 
 let member_after t ~s ~q =
-  match t.kth.(q) with
-  | -1 -> true
-  | kth ->
-      if Array.length s <> t.dim then
-        invalid_arg "Geom.Vec: dimension mismatch";
-      (* [w . (feat_target + s)] with the accumulation sequence of
-         [Vec.dot w (Vec.add feat_target s)]. *)
-      let woff = q * t.dim and toff = t.target * t.dim in
-      let acc = ref 0. in
-      for j = 0 to t.dim - 1 do
-        acc := !acc +. (t.wdata.(woff + j) *. (t.fdata.(toff + j) +. s.(j)))
-      done;
-      better (!acc, t.target) (t.thr.(q), kth)
-
-(* Per-rival slab setup, shared by both modes: fill the [nb]/[na]
-   scratch normals for the slab between [target + s_from] and
-   [target + s_to], and range each over the query bounding box in the
-   same pass (the boxed path allocated three vectors per rival here).
-   Accumulation order matches the original [Vec.sub]/[Vec.add] +
-   [dot_range] sequence exactly. Returns whether a sign flip inside
-   the box is possible. *)
-let fill_slab t ~rival ~s_from ~s_to ~nb ~na =
-  let d = t.dim in
-  if Array.length s_from <> d || Array.length s_to <> d then
-    invalid_arg "Geom.Vec: dimension mismatch";
-  let fdata = t.fdata in
-  let toff = t.target * d and roff = rival * d in
-  let blo = ref 0. and bhi = ref 0. in
-  let alo = ref 0. and ahi = ref 0. in
-  for j = 0 to d - 1 do
-    let base = fdata.(toff + j) -. fdata.(roff + j) in
-    let vb = base +. s_from.(j) and va = base +. s_to.(j) in
-    nb.(j) <- vb;
-    na.(j) <- va;
-    if vb >= 0. then begin
-      blo := !blo +. (vb *. t.domain_lo.(j));
-      bhi := !bhi +. (vb *. t.domain_hi.(j))
-    end
-    else begin
-      blo := !blo +. (vb *. t.domain_hi.(j));
-      bhi := !bhi +. (vb *. t.domain_lo.(j))
-    end;
-    if va >= 0. then begin
-      alo := !alo +. (va *. t.domain_lo.(j));
-      ahi := !ahi +. (va *. t.domain_hi.(j))
-    end
-    else begin
-      alo := !alo +. (va *. t.domain_hi.(j));
-      ahi := !ahi +. (va *. t.domain_lo.(j))
-    end
-  done;
-  (!bhi >= 0. && !alo < 0.) || (!blo < 0. && !ahi >= 0.)
+  if t.kth.(q) = -1 then true
+  else begin
+    if Array.length s <> t.dim then invalid_arg "Geom.Vec: dimension mismatch";
+    (* [w . (feat_target + s)] with the accumulation sequence of
+       [Vec.dot w (Vec.add feat_target s)]. *)
+    let woff = q * t.dim and toff = t.target * t.dim in
+    let acc = ref 0. in
+    for j = 0 to t.dim - 1 do
+      acc := !acc +. (t.wdata.(woff + j) *. (t.fdata.(toff + j) +. s.(j)))
+    done;
+    (* [Topk.Eval.better acc target thr kth] spelled inline: a call
+       into another module boxes both floats (dune's dev profile
+       compiles with [-opaque], so nothing inlines across modules), an
+       allocation per dirty query on this path. *)
+    let thr = t.thr.(q) in
+    !acc < thr || (!acc = thr && t.target < t.kth.(q))
+  end
 
 (* Queries whose order against some rival flips between the target's
    position at [s_from] and at [s_to] (both relative to the base
-   feature vector). The plain evaluation path uses [s_from = zero].
-   Scratch normals live per call, not per state: one state serves
-   concurrent evaluations from a Parallel pool. *)
+   feature vector), classified from scratch on both sides. Scratch
+   normals live per call, not per state: one state serves concurrent
+   evaluations from a Parallel pool. *)
 let collect_dirty_between t ~s_from ~s_to f =
   let d = t.dim in
   let nb = Array.make d 0. and na = Array.make d 0. in
+  let br = Array.make 2 0. and ar = Array.make 2 0. in
+  let slab rival =
+    fill_side t ~rival ~s:s_from ~n:nb ~range:br;
+    fill_side t ~rival ~s:s_to ~n:na ~range:ar;
+    may_change ~blo:br.(0) ~bhi:br.(1) ~alo:ar.(0) ~ahi:ar.(1)
+  in
   match t.mode with
   | Full ->
       let visit rival =
-        if rival <> t.target then
-          if fill_slab t ~rival ~s_from ~s_to ~nb ~na then
-            Query_index.slab_queries t.index ~normal_before:nb ~normal_after:na
-              f
+        if rival <> t.target && slab rival then
+          Query_index.slab_queries t.index ~normal_before:nb ~normal_after:na f
       in
       Array.iter visit (Query_index.candidate_rivals t.index)
-  | Kth { rivals; roff; rq } ->
+  | Kth { rivals; roff; rq; _ } ->
       (* [kth_other] never returns the target, so no skip needed. Each
          rival's query block is tested with the slab entry predicate
-         inlined: a query flips when the plane's sign at its weight
-         point differs before/after. Blocks partition the queries that
-         can change, so [f] sees each query at most once. *)
-      let wdata = t.wdata in
+         inlined. Blocks partition the queries that can change, so [f]
+         sees each query at most once. *)
       for ri = 0 to Array.length rivals - 1 do
-        if fill_slab t ~rival:rivals.(ri) ~s_from ~s_to ~nb ~na then
+        if slab rivals.(ri) then
           for c = roff.(ri) to roff.(ri + 1) - 1 do
             let qi = rq.(c) in
-            let woff = qi * d in
-            let db = ref 0. and da = ref 0. in
-            for j = 0 to d - 1 do
-              db := !db +. (nb.(j) *. wdata.(woff + j));
-              da := !da +. (na.(j) *. wdata.(woff + j))
-            done;
-            if !db >= 0. <> (!da >= 0.) then f qi
+            if may_flip (side t nb ~q:qi) (side t na ~q:qi) then f qi
           done
       done
 
@@ -256,9 +312,17 @@ let dirty_between t ~s_from ~s_to =
   collect_dirty_between t ~s_from ~s_to (fun qi -> Hashtbl.replace seen qi ());
   Hashtbl.fold (fun qi () acc -> qi :: acc) seen [] |> List.sort Int.compare
 
+(* [Vec.is_zero ~eps:0.] without its closure. *)
+let is_zero s =
+  let j = ref 0 in
+  while !j < Array.length s && abs_float s.(!j) <= 0. do
+    incr j
+  done;
+  !j = Array.length s
+
 let evaluate t ~s =
   Atomic.incr t.eval_count;
-  if Vec.is_zero ~eps:0. s then t.base
+  if is_zero s then t.base
   else
     match t.mode with
     | Full ->
@@ -274,14 +338,31 @@ let evaluate t ~s =
             + (if after && not before then 1 else 0)
             - (if before && not after then 1 else 0))
           seen t.base
-    | Kth _ ->
-        (* Disjoint CSR blocks: each dirty query arrives exactly once. *)
+    | Kth { rivals; roff; rq; brange; bside } ->
+        (* The before side is frozen, so only the after side is
+           computed: per rival its normal and box range, per query of a
+           block whose side can change. Disjoint CSR blocks: each
+           dirty query arrives exactly once. The only allocation is the
+           after-side scratch, O(d). *)
+        let na = Array.make t.dim 0. and ar = Array.make 2 0. in
         let acc = ref t.base in
-        collect_dirty t ~s (fun qi ->
-            let before = t.members.(qi) in
-            let after = member_after t ~s ~q:qi in
-            if after && not before then incr acc
-            else if before && not after then decr acc);
+        for ri = 0 to Array.length rivals - 1 do
+          fill_side t ~rival:rivals.(ri) ~s ~n:na ~range:ar;
+          if
+            may_change ~blo:brange.(2 * ri)
+              ~bhi:brange.((2 * ri) + 1)
+              ~alo:ar.(0) ~ahi:ar.(1)
+          then
+            for c = roff.(ri) to roff.(ri + 1) - 1 do
+              let qi = rq.(c) in
+              if may_flip (Bytes.get bside c) (side t na ~q:qi) then begin
+                let before = t.members.(qi) in
+                let after = member_after t ~s ~q:qi in
+                if after && not before then incr acc
+                else if before && not after then decr acc
+              end
+            done
+        done;
         !acc
 
 let hit_constraint t ~q ~current =

@@ -23,8 +23,6 @@ let of_state index state =
 
 let ese index ~target = of_state index (Ese.prepare index ~target)
 
-let better (s1, i1) (s2, i2) = s1 < s2 || (s1 = s2 && i1 < i2)
-
 (* Per-query hit threshold (Equation 6). It depends only on the OTHER
    objects, which never move during a search on [target], so both
    scan-based evaluators memoize it. *)
@@ -48,7 +46,7 @@ let scan_member inst threshold ~target ~q v =
   let w = inst.Instance.queries.(q).Topk.Query.weights in
   match threshold q with
   | None -> true
-  | Some (kth, thr) -> better (Vec.dot w v, target) (thr, kth)
+  | Some (kth, thr) -> Topk.Eval.better (Vec.dot w v) target thr kth
 
 let cached_constraint inst threshold ~q ~current =
   match threshold q with
@@ -88,7 +86,7 @@ let naive ?pool inst ~target =
           for j = 0 to d - 1 do
             s := !s +. (wdata.(woff + j) *. v.(j))
           done;
-          if better (!s, target) (thr, kth) then incr acc
+          if Topk.Eval.better !s target thr kth then incr acc
     done;
     !acc
   in

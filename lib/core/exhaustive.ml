@@ -7,8 +7,6 @@ type outcome = {
   lps_solved : int;
 }
 
-let better (s1, i1) (s2, i2) = s1 < s2 || (s1 = s2 && i1 < i2)
-
 (* Hit constraint (a, b) for query q: a . s <= b makes the target hit. *)
 let constraint_for inst ~target ~q =
   let w = inst.Instance.queries.(q).Topk.Query.weights in
@@ -69,7 +67,7 @@ let hit_count_after inst ~target s =
      with
     | None -> incr acc
     | Some (kth, thr) ->
-        if better (Vec.dot w v, target) (thr, kth) then incr acc)
+        if Topk.Eval.better (Vec.dot w v) target thr kth then incr acc)
   done;
   !acc
 

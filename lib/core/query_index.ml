@@ -152,8 +152,10 @@ let slab_queries t ~normal_before ~normal_after f =
   let inst = t.inst in
   (* [box_min_max_n] ranges the bare normals directly — the previous
      code constructed two offset-0 [Hyperplane.t] per R-tree node
-     visited, which dominated the slab search's allocation profile. *)
-  let sign_flip_possible box =
+     visited, which dominated the slab search's allocation profile. A
+     node is skipped only when both normals keep its whole box strictly
+     on one side. *)
+  let may_change box =
     let bmin, bmax =
       Hyperplane.box_min_max_n ~normal:normal_before ~lo:box.Box.lo
         ~hi:box.Box.hi
@@ -162,31 +164,24 @@ let slab_queries t ~normal_before ~normal_after f =
       Hyperplane.box_min_max_n ~normal:normal_after ~lo:box.Box.lo
         ~hi:box.Box.hi
     in
-    let down = bmax >= 0. && amin < 0. in
-    let up = bmin < 0. && amax >= 0. in
-    down || up
+    not ((bmin > 0. && amin > 0.) || (bmax < 0. && amax < 0.))
   in
-  let entry_flips _box qi =
+  let visit qi =
     let w = inst.Instance.queries.(qi).Topk.Query.weights in
-    let before = Vec.dot normal_before w >= 0. in
-    let after = Vec.dot normal_after w >= 0. in
-    if before <> after then f qi
+    let before = Vec.dot normal_before w and after = Vec.dot normal_after w in
+    if not ((before > 0. && after > 0.) || (before < 0. && after < 0.)) then
+      f qi
   in
   if Vec.is_zero ~eps:0. normal_before || Vec.is_zero ~eps:0. normal_after then
-    Array.iteri
-      (fun qi (q : Topk.Query.t) ->
-        let before = Vec.dot normal_before q.Topk.Query.weights >= 0. in
-        let after = Vec.dot normal_after q.Topk.Query.weights >= 0. in
-        if before <> after then f qi)
-      inst.Instance.queries
+    for qi = 0 to Array.length inst.Instance.queries - 1 do
+      visit qi
+    done
   else
-    Rtree.search_pred t.rtree ~node_pred:sign_flip_possible
+    Rtree.search_pred t.rtree ~node_pred:may_change
       ~entry_pred:(fun _ -> true)
-      ~f:entry_flips
+      ~f:(fun _box qi -> visit qi)
 
 (* --- Section 4.3: data updating ------------------------------------- *)
-
-let better (s1, i1) (s2, i2) = s1 < s2 || (s1 = s2 && i1 < i2)
 
 (* Verify that a candidate prefix (borrowed from a kNN neighbour's
    subdomain) is the true top-[depth] prefix for weights [w]: it must be
@@ -201,9 +196,9 @@ let verify_prefix inst ~w prefix =
     for i = 0 to depth - 2 do
       if
         not
-          (better
-             (score prefix.(i), prefix.(i))
-             (score prefix.(i + 1), prefix.(i + 1)))
+          (Topk.Eval.better (score prefix.(i)) prefix.(i)
+             (score prefix.(i + 1))
+             prefix.(i + 1))
       then sorted := false
     done;
     if not !sorted then false
@@ -211,12 +206,12 @@ let verify_prefix inst ~w prefix =
       let in_prefix = Hashtbl.create depth in
       Array.iter (fun id -> Hashtbl.replace in_prefix id ()) prefix;
       let last = prefix.(depth - 1) in
-      let last_entry = (score last, last) in
+      let s_last = score last in
       let ok = ref true in
       (try
          for id = 0 to n - 1 do
            if not (Hashtbl.mem in_prefix id) then
-             if better (score id, id) last_entry then begin
+             if Topk.Eval.better (score id) id s_last last then begin
                ok := false;
                raise Exit
              end
@@ -297,7 +292,10 @@ let with_object_added t raw_attrs =
         let score i = Vec.dot w inst'.Instance.features.(prefix.(i)) in
         if
           depth > 0
-          && not (better (s_new, id) (score (depth - 1), prefix.(depth - 1)))
+          && not
+               (Topk.Eval.better s_new id
+                  (score (depth - 1))
+                  prefix.(depth - 1))
           && depth >= t.depth
         then prefix
         else begin
@@ -306,7 +304,7 @@ let with_object_added t raw_attrs =
           let out = ref [] in
           Array.iteri
             (fun i pid ->
-              if (not !inserted) && better (s_new, id) (score i, pid) then begin
+              if (not !inserted) && Topk.Eval.better s_new id (score i) pid then begin
                 out := pid :: id :: !out;
                 inserted := true
               end
@@ -345,7 +343,7 @@ let with_object_updated t id raw_attrs =
           let s_new = Vec.dot w feat in
           let last = prefix.(depth - 1) in
           let s_last = Vec.dot w inst'.Instance.features.(last) in
-          better (s_new, id) (s_last, last)
+          Topk.Eval.better s_new id s_last last
         in
         if contains || cuts || depth < t.depth then
           (* The moved object bounds (or now cuts into) this query's

@@ -68,11 +68,12 @@ val member : t -> q:int -> int -> bool
 
 val slab_queries :
   t -> normal_before:Vec.t -> normal_after:Vec.t -> (int -> unit) -> unit
-(** Visit every query index whose sign under [normal_before . q]
-    differs from its sign under [normal_after . q] — the affected
-    subspace between an intersection and its post-strategy image.
-    Points on a hyperplane count as above (Section 4.1). Uses R-tree
-    pruning via per-node interval bounds. *)
+(** Visit every query index [q] whose values [normal_before . q] and
+    [normal_after . q] do not lie strictly on one side of zero together
+    — the affected subspace between an intersection and its
+    post-strategy image (Section 4.1), closed: a point on either
+    hyperplane is a score tie that object ids decide, so it is always
+    visited. Uses R-tree pruning via per-node interval bounds. *)
 
 (** {2 Data updating — Section 4.3}
 

@@ -38,92 +38,113 @@ let weighted_l2 ~w ~a ~b =
   end
 
 (* Best achievable value of [a . s] inside the box (its minimum). *)
-let min_dot a (bounds : bounds) =
+let[@inline] min_dot a (bounds : bounds) =
   let acc = ref 0. in
-  Array.iteri
-    (fun j aj ->
-      let contrib =
-        if aj > 0. then aj *. bounds.lo.(j)
-        else if aj < 0. then aj *. bounds.hi.(j)
-        else 0.
-      in
-      acc := !acc +. contrib)
-    a;
+  for j = 0 to Array.length a - 1 do
+    let aj = a.(j) in
+    let contrib =
+      if aj > 0. then aj *. bounds.lo.(j)
+      else if aj < 0. then aj *. bounds.hi.(j)
+      else 0.
+    in
+    acc := !acc +. contrib
+  done;
   !acc
 
 let feasible ~a ~b bounds = min_dot a bounds <= b
+
+(* The solvers below allocate their result (and {!l2_boxed} its
+   d-byte active set) and nothing else on the common path: no
+   closures, no boxed accumulators, no per-round vectors. [Geom.Fp]'s
+   epsilon tests are spelled out against [Geom.Fp.default_eps] because
+   a call into another module boxes its float argument. *)
+
+let contains_zero (bounds : bounds) d =
+  let j = ref 0 in
+  while !j < d && bounds.lo.(!j) <= 0. && 0. <= bounds.hi.(!j) do
+    incr j
+  done;
+  !j = d
+
+(* The active set of {!l2_boxed}, a byte per coordinate. *)
+let[@inline] is_active mask j = Bytes.get mask j = '\001'
+
+(* One round of {!l2_boxed}'s active-set loop: solve the
+   equality-projection on the free coordinates, fix any that leave the
+   box at their bound, and go again. [s] holds each active coordinate's
+   fixed bound between rounds and is the result. Terminates in <= d
+   rounds because the active set only grows. *)
+let rec l2_round ~a ~b ~lo ~hi s active round =
+  let d = Array.length a in
+  if round > d + 1 then None
+  else begin
+    let b' = ref b in
+    for j = 0 to d - 1 do
+      if is_active active j then b' := !b' -. (a.(j) *. s.(j))
+    done;
+    let n2 = ref 0. in
+    for j = 0 to d - 1 do
+      if not (is_active active j) then n2 := !n2 +. (a.(j) *. a.(j))
+    done;
+    if (not (!b' >= 0.)) && abs_float !n2 <= Geom.Fp.default_eps then None
+    else begin
+      for j = 0 to d - 1 do
+        if not (is_active active j) then
+          s.(j) <- (if !b' >= 0. then 0. else !b' *. a.(j) /. !n2)
+      done;
+      let violated = ref false in
+      for j = 0 to d - 1 do
+        if not (is_active active j) then
+          if s.(j) < lo.(j) -. 1e-12 then begin
+            Bytes.set active j '\001';
+            s.(j) <- lo.(j);
+            violated := true
+          end
+          else if s.(j) > hi.(j) +. 1e-12 then begin
+            Bytes.set active j '\001';
+            s.(j) <- hi.(j);
+            violated := true
+          end
+      done;
+      if !violated then l2_round ~a ~b ~lo ~hi s active (round + 1)
+      else begin
+        for j = 0 to d - 1 do
+          s.(j) <- Float.min hi.(j) (Float.max lo.(j) s.(j))
+        done;
+        Some s
+      end
+    end
+  end
 
 let l2_boxed ?bounds ~a ~b () =
   let d = Array.length a in
   let bounds = match bounds with Some b -> b | None -> unbounded d in
   if not (feasible ~a ~b bounds) then None
+  else if b >= 0. && contains_zero bounds d then Some (Array.make d 0.)
   else begin
-    let zero = Array.make d 0. in
-    let clamp s =
-      Array.mapi (fun j x -> Float.min bounds.hi.(j) (Float.max bounds.lo.(j) x)) s
-    in
-    if b >= 0. && Array.for_all2 (fun l h -> l <= 0. && 0. <= h) bounds.lo bounds.hi
-    then Some zero
-    else begin
-      (* Active-set loop: solve the equality-projection on free coords,
-         clamp out-of-bound coordinates, repeat. Terminates in <= d
-         rounds because the active set only grows. *)
-      let active = Array.make d false in
-      let fixed = Array.make d 0. in
-      (* Coordinates where 0 is outside the bound range must start fixed
-         at their nearest bound. *)
-      for j = 0 to d - 1 do
-        if bounds.lo.(j) > 0. then begin
-          active.(j) <- true;
-          fixed.(j) <- bounds.lo.(j)
-        end
-        else if bounds.hi.(j) < 0. then begin
-          active.(j) <- true;
-          fixed.(j) <- bounds.hi.(j)
-        end
-      done;
-      let rec iterate round =
-        if round > d + 1 then None
-        else begin
-          let b' = ref b in
-          for j = 0 to d - 1 do
-            if active.(j) then b' := !b' -. (a.(j) *. fixed.(j))
-          done;
-          let n2 = ref 0. in
-          for j = 0 to d - 1 do
-            if not active.(j) then n2 := !n2 +. (a.(j) *. a.(j))
-          done;
-          let s =
-            if !b' >= 0. then
-              Array.init d (fun j -> if active.(j) then fixed.(j) else 0.)
-            else if Geom.Fp.is_zero !n2 then [||]
-            else
-              Array.init d (fun j ->
-                  if active.(j) then fixed.(j) else !b' *. a.(j) /. !n2)
-          in
-          if Array.length s = 0 then None
-          else begin
-            let violated = ref false in
-            for j = 0 to d - 1 do
-              if not active.(j) then
-                if s.(j) < bounds.lo.(j) -. 1e-12 then begin
-                  active.(j) <- true;
-                  fixed.(j) <- bounds.lo.(j);
-                  violated := true
-                end
-                else if s.(j) > bounds.hi.(j) +. 1e-12 then begin
-                  active.(j) <- true;
-                  fixed.(j) <- bounds.hi.(j);
-                  violated := true
-                end
-            done;
-            if !violated then iterate (round + 1) else Some (clamp s)
-          end
-        end
-      in
-      iterate 0
-    end
+    let lo = bounds.lo and hi = bounds.hi in
+    let s = Array.make d 0. and active = Bytes.make d '\000' in
+    (* Coordinates where 0 is outside the bound range must start fixed
+       at their nearest bound. *)
+    for j = 0 to d - 1 do
+      if lo.(j) > 0. then begin
+        Bytes.set active j '\001';
+        s.(j) <- lo.(j)
+      end
+      else if hi.(j) < 0. then begin
+        Bytes.set active j '\001';
+        s.(j) <- hi.(j)
+      end
+    done;
+    l2_round ~a ~b ~lo ~hi s active 0
   end
+
+(* Whether coordinate [i] precedes [j] in {!l1_boxed}'s leverage order:
+   descending [|a|] under [Float.compare] (NaN last), ties by index —
+   the order a stable sort of the indices produces. *)
+let[@inline] leverage_before a i j =
+  let c = Float.compare (abs_float a.(j)) (abs_float a.(i)) in
+  c < 0 || (c = 0 && i < j)
 
 let l1_boxed ?bounds ~a ~b () =
   let d = Array.length a in
@@ -137,26 +158,30 @@ let l1_boxed ?bounds ~a ~b () =
       if bounds.lo.(j) > 0. then s.(j) <- bounds.lo.(j)
       else if bounds.hi.(j) < 0. then s.(j) <- bounds.hi.(j)
     done;
-    let dot () =
-      let acc = ref 0. in
-      for j = 0 to d - 1 do
-        acc := !acc +. (a.(j) *. s.(j))
-      done;
-      !acc
-    in
-    let need = ref (dot () -. b) in
+    let dot = ref 0. in
+    for j = 0 to d - 1 do
+      dot := !dot +. (a.(j) *. s.(j))
+    done;
+    let need = ref (!dot -. b) in
     if !need <= 0. then Some s
     else begin
       (* Reduce [a . s] by moving the highest-leverage coordinates toward
          their helpful bound. Moving s_j by delta changes a.s by
-         a_j * delta; cost per unit decrease is 1 / |a_j|. *)
-      let order =
-        List.sort
-          (fun j1 j2 -> Float.compare (abs_float a.(j2)) (abs_float a.(j1)))
-          (List.init d Fun.id)
-      in
-      let step j =
-        if !need > 0. && Geom.Fp.nonzero a.(j) then begin
+         a_j * delta; cost per unit decrease is 1 / |a_j|. Each pass
+         picks the coordinate after [prev] in leverage order, so the
+         order needs no sorted index list. *)
+      let prev = ref (-1) in
+      for _ = 1 to d do
+        let next = ref (-1) in
+        for j = 0 to d - 1 do
+          if
+            (!prev < 0 || leverage_before a !prev j)
+            && (!next < 0 || leverage_before a j !next)
+          then next := j
+        done;
+        let j = !next in
+        prev := j;
+        if !need > 0. && not (abs_float a.(j) <= Geom.Fp.default_eps) then begin
           let target_dir = if a.(j) > 0. then bounds.lo.(j) else bounds.hi.(j) in
           let room = target_dir -. s.(j) in
           (* room has the sign that decreases a.s *)
@@ -168,8 +193,7 @@ let l1_boxed ?bounds ~a ~b () =
             need := !need -. take
           end
         end
-      in
-      List.iter step order;
+      done;
       if !need > 1e-9 then None else Some s
     end
   end

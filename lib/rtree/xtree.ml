@@ -59,12 +59,12 @@ let axis_split ~dims boxes_of items =
     let area = Float.max 1e-300 (Box.area bl +. Box.area br) in
     let ratio = overlap /. area in
     let margin = Box.margin bl +. Box.margin br in
-    let better =
+    let improves =
       match !best with
       | None -> true
       | Some (r, m, _, _, _, _) -> ratio < r || (ratio = r && margin < m)
     in
-    if better then best := Some (ratio, margin, left, bl, right, br)
+    if improves then best := Some (ratio, margin, left, bl, right, br)
   done;
   match !best with
   | Some (ratio, _, left, bl, right, br) -> (ratio, (left, bl), (right, br))

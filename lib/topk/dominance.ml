@@ -126,8 +126,6 @@ let edge_count t = t.edges
 let size_words t =
   Array.length t.layer_of + t.edges + (2 * Array.length t.layers)
 
-let better (s1, i1) (s2, i2) = s1 < s2 || (s1 = s2 && i1 < i2)
-
 let top_k t ~data ~weights ~k =
   Array.iter
     (fun w ->
@@ -141,7 +139,11 @@ let top_k t ~data ~weights ~k =
       t.layers.(j)
   done;
   let sorted =
-    List.sort (fun a b -> if better a b then -1 else if better b a then 1 else 0)
+    List.sort
+      (fun (s1, i1) (s2, i2) ->
+        if Eval.better s1 i1 s2 i2 then -1
+        else if Eval.better s2 i2 s1 i1 then 1
+        else 0)
       !candidates
   in
   let rec take n = function

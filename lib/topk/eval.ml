@@ -1,7 +1,10 @@
 let score data ~weights id = Geom.Vec.dot weights data.(id)
 
-(* (score, id) ascending: lower score first, then lower id. *)
-let better (s1, i1) (s2, i2) = s1 < s2 || (s1 = s2 && i1 < i2)
+(* (score, id) ascending: lower score first, then lower id. Typed and
+   untupled, so a call compares two unboxed floats with no tuple, no
+   [compare_val]. *)
+let better (s1 : float) (i1 : int) (s2 : float) (i2 : int) =
+  s1 < s2 || (s1 = s2 && i1 < i2)
 
 (* Bounded selection of the [cap] best objects other than [excl], kept
    sorted best first in unboxed score/id buffers; returns the buffers
@@ -54,15 +57,15 @@ let top_k data ~weights ~k =
 
 let rank data ~weights id =
   let s_id = score data ~weights id in
-  let better_count = ref 0 in
+  let ahead = ref 0 in
   Array.iteri
     (fun j p ->
       if j <> id then begin
         let s = Geom.Vec.dot weights p in
-        if better (s, j) (s_id, id) then incr better_count
+        if better s j s_id id then incr ahead
       end)
     data;
-  !better_count + 1
+  !ahead + 1
 
 let kth_score_excluding data ~weights ~k ~excl =
   if Array.length data - 1 < k then None
@@ -77,7 +80,7 @@ let hits data ~weights ~k id =
   | None -> true
   | Some (kth_id, kth_s) ->
       let s = score data ~weights id in
-      better (s, id) (kth_s, kth_id)
+      better s id kth_s kth_id
 
 let hit_count data ~queries id =
   List.fold_left

@@ -5,6 +5,13 @@
     agree on results. The dataset is an array of feature vectors; object
     ids are array indices. *)
 
+val better : float -> int -> float -> int -> bool
+(** [better s1 i1 s2 i2]: the entry with score [s1] and id [i1] ranks
+    before the one with [s2] and [i2] — a strictly lower score, or an
+    equal score and a lower id. The one rank order of every evaluator
+    in the tree. Comparisons follow IEEE rules: a NaN score ranks
+    before nothing and after nothing. *)
+
 val top_k : Geom.Vec.t array -> weights:Geom.Vec.t -> k:int -> int list
 (** The [k] best (lowest-scoring) object ids, best first. One bounded
     selection over unboxed score/id buffers for every [k]: O(n) scoring

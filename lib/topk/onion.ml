@@ -57,8 +57,6 @@ let layer_count t = Array.length t.layers
 let layer_of t id = t.layer_of.(id)
 let layers t = t.layers
 
-let better (s1, i1) (s2, i2) = s1 < s2 || (s1 = s2 && i1 < i2)
-
 let top_k t ~data ~weights ~k =
   (match t.kind with
   | Convex_hull_2d -> ()
@@ -76,7 +74,10 @@ let top_k t ~data ~weights ~k =
   done;
   let sorted =
     List.sort
-      (fun a b -> if better a b then -1 else if better b a then 1 else 0)
+      (fun (s1, i1) (s2, i2) ->
+        if Eval.better s1 i1 s2 i2 then -1
+        else if Eval.better s2 i2 s1 i1 then 1
+        else 0)
       !candidates
   in
   let rec take n = function

@@ -1,7 +1,5 @@
 type stats = { evaluated : int; pruned : int }
 
-let better (s1, i1) (s2, i2) = s1 < s2 || (s1 = s2 && i1 < i2)
-
 (* Order queries along a space-filling-ish tour: sort by weight vector
    lexicographically. Neighbouring queries then tend to share buffers,
    which is what gives RTA its pruning power. *)
@@ -21,7 +19,7 @@ let reverse_top_k ~data ~queries ~target =
     let beat_target =
       List.filter
         (fun id ->
-          id <> target && better (Geom.Vec.dot w data.(id), id) (ts, target))
+          id <> target && Eval.better (Geom.Vec.dot w data.(id)) id ts target)
         !buffer
     in
     if List.length beat_target >= q.Query.k then incr pruned

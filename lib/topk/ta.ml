@@ -16,8 +16,6 @@ let build data =
 
 let dim t = Array.length t.sorted
 
-let better (s1, i1) (s2, i2) = s1 < s2 || (s1 = s2 && i1 < i2)
-
 let top_k_stats t ~weights ~k =
   let d = dim t in
   if Geom.Vec.dim weights <> d then invalid_arg "Ta.top_k: arity mismatch";
@@ -30,10 +28,12 @@ let top_k_stats t ~weights ~k =
   else begin
     let seen = Hashtbl.create 64 in
     let best = ref [] (* sorted ascending, length <= cap *) in
-    let insert entry =
+    let insert ((s, id) as entry) =
       let rec ins = function
         | [] -> [ entry ]
-        | e :: rest -> if better entry e then entry :: e :: rest else e :: ins rest
+        | ((es, eid) as e) :: rest ->
+            if Eval.better s id es eid then entry :: e :: rest
+            else e :: ins rest
       in
       let merged = ins !best in
       best :=

@@ -24,8 +24,6 @@ let build ~views data =
 
 let view_count t = Array.length t.views
 
-let better (s1, i1) (s2, i2) = s1 < s2 || (s1 = s2 && i1 < i2)
-
 let top_k_stats t ~weights ~k =
   let n = Array.length t.data in
   let cap = Int.min k n in
@@ -44,11 +42,12 @@ let top_k_stats t ~weights ~k =
     in
     let slack = Geom.Vec.dist view.reference weights *. t.radius in
     let best = ref [] in
-    let insert entry =
+    let insert ((s, id) as entry) =
       let rec ins = function
         | [] -> [ entry ]
-        | e :: rest ->
-            if better entry e then entry :: e :: rest else e :: ins rest
+        | ((es, eid) as e) :: rest ->
+            if Eval.better s id es eid then entry :: e :: rest
+            else e :: ins rest
       in
       let merged = ins !best in
       best :=

@@ -29,48 +29,156 @@ let layers_of inst =
 
 (* --- Ese level: pruned state == full state, observably ---------------- *)
 
-let test_ese_pruned_equals_full () =
-  let inst = make_instance ~seed:31 ~n:140 ~m:90 () in
+(* Pruned [evaluate], full [evaluate] and [Evaluator.naive] must agree
+   exactly on every strategy, and [member_after] on every query; the
+   pruned dirty set may drop queries whose membership cannot change,
+   never add any. [strategies target] is called once per target, in
+   order. Returns whether the certificate held for some target, so
+   each instance can insist the pruned path ran. *)
+let check_pruned_equals_full inst ~targets ~strategies =
   let idx = Query_index.build inst in
   let layers = layers_of inst in
+  let pruned_seen = ref false in
+  List.iter
+    (fun target ->
+      let full = Ese.prepare idx ~target in
+      let kth = Ese.prepare ~layers idx ~target in
+      let naive = Evaluator.naive inst ~target in
+      Alcotest.(check bool) "full state is unpruned" false (Ese.pruned full);
+      if Ese.pruned kth then begin
+        pruned_seen := true;
+        Alcotest.(check bool)
+          "pruned rival set is no larger" true
+          (Ese.rival_count kth <= Ese.rival_count full)
+      end;
+      Alcotest.(check int) "base hits agree" (Ese.base_hits full)
+        (Ese.base_hits kth);
+      Alcotest.(check int) "base hits match naive" naive.Evaluator.base_hits
+        (Ese.base_hits kth);
+      List.iter
+        (fun s ->
+          let label =
+            Printf.sprintf "target=%d s=[%s]" target
+              (String.concat ";" (Array.to_list (Array.map (Printf.sprintf "%h") s)))
+          in
+          Alcotest.(check int) ("full evaluate matches naive, " ^ label)
+            (naive.Evaluator.hit_count s) (Ese.evaluate full ~s);
+          Alcotest.(check int) ("pruned evaluate matches full, " ^ label)
+            (Ese.evaluate full ~s) (Ese.evaluate kth ~s);
+          for q = 0 to Instance.n_queries inst - 1 do
+            let expected = naive.Evaluator.member ~q s in
+            if
+              Ese.member_after full ~s ~q <> expected
+              || Ese.member_after kth ~s ~q <> expected
+            then Alcotest.failf "member_after diverges at %s q=%d" label q
+          done;
+          let full_dirty = Ese.dirty_queries full ~s in
+          List.iter
+            (fun q ->
+              if not (List.mem q full_dirty) then
+                Alcotest.failf "pruned dirty set invented query %d" q)
+            (Ese.dirty_queries kth ~s))
+        (strategies target))
+    targets;
+  !pruned_seen
+
+let test_ese_pruned_equals_full () =
+  let inst = make_instance ~seed:31 ~n:140 ~m:90 () in
   let d = Instance.dim inst in
   let rng = Workload.Rng.make 404 in
-  let pruned_seen = ref false in
-  for target = 0 to 7 do
-    let full = Ese.prepare idx ~target in
-    let kth = Ese.prepare ~layers idx ~target in
-    Alcotest.(check bool) "full state is unpruned" false (Ese.pruned full);
-    if Ese.pruned kth then begin
-      pruned_seen := true;
-      Alcotest.(check bool)
-        "pruned rival set is no larger" true
-        (Ese.rival_count kth <= Ese.rival_count full)
-    end;
-    Alcotest.(check int) "base hits agree" (Ese.base_hits full)
-      (Ese.base_hits kth);
-    for _ = 1 to 12 do
-      let s =
-        Array.init d (fun _ -> (Workload.Rng.uniform rng -. 0.5) *. 0.6)
-      in
-      Alcotest.(check int) "evaluate agrees"
-        (Ese.evaluate full ~s) (Ese.evaluate kth ~s);
-      for q = 0 to Instance.n_queries inst - 1 do
-        if Ese.member_after full ~s ~q <> Ese.member_after kth ~s ~q then
-          Alcotest.failf "member_after diverges at target=%d q=%d" target q
-      done;
-      (* The pruned dirty set may drop queries whose membership cannot
-         change, never add any. *)
-      let full_dirty = Ese.dirty_queries full ~s in
-      let kth_dirty = Ese.dirty_queries kth ~s in
-      List.iter
-        (fun q ->
-          if not (List.mem q full_dirty) then
-            Alcotest.failf "pruned dirty set invented query %d" q)
-        kth_dirty
-    done
-  done;
+  (* Twelve fresh strategies per target, drawn from one stream. *)
+  let strategies _target =
+    List.init 12 (fun _ ->
+        Array.init d (fun _ -> (Workload.Rng.uniform rng -. 0.5) *. 0.6))
+  in
   Alcotest.(check bool)
-    "certificate held for at least one target" true !pruned_seen
+    "certificate held for at least one target" true
+    (check_pruned_equals_full inst ~targets:(List.init 8 Fun.id) ~strategies)
+
+(* The frozen before side on degenerate inputs: duplicated objects put
+   exact ties at rank k (the target against its own copy, both ways
+   round the id tie-break), queries with zero weight components tie
+   every object that differs only there, and the strategies include
+   the zero step and steps with [-0.]/[0.] coordinates. *)
+let test_ese_pruned_degenerate () =
+  let d = 3 in
+  let rng = Workload.Rng.make 58 in
+  let base = Workload.Datagen.generate rng Workload.Datagen.Independent ~n:60 ~d in
+  (* Copy the 12 objects with the lowest coordinate sums, the ones that
+     sit inside top-k results. *)
+  let sum v = Array.fold_left ( +. ) 0. v in
+  let best = Array.init 60 Fun.id in
+  Array.stable_sort (fun i j -> Float.compare (sum base.(i)) (sum base.(j))) best;
+  let copies = Array.init 12 (fun c -> Array.copy base.(best.(c))) in
+  let data = Array.append base copies in
+  let queries =
+    Workload.Querygen.linear rng Workload.Querygen.Uniform ~k_range:(1, 6) ~m:60
+      ~d ()
+    |> List.mapi (fun i (q : Topk.Query.t) ->
+           if i mod 2 = 0 then begin
+             let w = Array.copy q.Topk.Query.weights in
+             w.(i / 2 mod d) <- 0.;
+             Topk.Query.make ~id:q.Topk.Query.id ~k:q.Topk.Query.k w
+           end
+           else q)
+  in
+  let inst = Instance.create ~data ~queries () in
+  let targets = [ best.(0); 60; best.(1); 61; best.(5); 65 ] in
+  let strategies _target =
+    [
+      [| 0.; 0.; 0. |];
+      [| -0.; -0.; -0. |];
+      [| -0.; 0.; -0. |];
+      [| -0.1; -0.; 0. |];
+      [| 0.; -0.05; -0. |];
+      [| -0.; 0.; -0.2 |];
+      [| 0.05; -0.; -0.05 |];
+      [| -0.15; -0.15; -0.15 |];
+    ]
+  in
+  Alcotest.(check bool)
+    "certificate held for at least one target" true
+    (check_pruned_equals_full inst ~targets ~strategies)
+
+(* The evaluation hot path allocates per call, not per rival or per
+   dirty query: a pruned [evaluate] only its O(d) after-side scratch,
+   [member_after] nothing. Bytecode boxes every float, so the bound is
+   checked on native code only. *)
+let test_ese_allocation () =
+  if Sys.backend_type = Sys.Native then
+    List.iter
+      (fun m ->
+        let inst = make_instance ~seed:12 ~n:300 ~m ~kmax:12 () in
+        let idx = Query_index.build inst in
+        let st = Ese.prepare ~layers:(layers_of inst) idx ~target:3 in
+        Alcotest.(check bool) "state is pruned" true (Ese.pruned st);
+        let s = [| -0.2; -0.15; -0.25 |] in
+        let dirty = List.length (Ese.dirty_queries st ~s) in
+        if dirty < m / 4 then
+          Alcotest.failf "m=%d: only %d dirty queries, too few to show a \
+                          per-query allocation" m dirty;
+        let calls = 500 in
+        let words f =
+          f ();
+          let before = Gc.minor_words () in
+          for _ = 1 to calls do
+            f ()
+          done;
+          (Gc.minor_words () -. before) /. float_of_int calls
+        in
+        let per_eval =
+          words (fun () -> ignore (Sys.opaque_identity (Ese.evaluate st ~s)))
+        in
+        let per_member =
+          words (fun () ->
+              ignore (Sys.opaque_identity (Ese.member_after st ~s ~q:(m - 1))))
+        in
+        if per_eval > 16. then
+          Alcotest.failf "m=%d: %.1f words per evaluate (%d rivals, %d dirty)" m
+            per_eval (Ese.rival_count st) dirty;
+        if per_member > 1. then
+          Alcotest.failf "m=%d: %.1f words per member_after" m per_member)
+      [ 60; 240 ]
 
 let test_ese_desc_falls_back () =
   (* Desc-order instances negate weights at construction, so the
@@ -275,4 +383,8 @@ let suite =
       test_prune_off_builds_nothing;
     Alcotest.test_case "flat SoA views track all mutations" `Quick
       test_flat_views_sync;
+    Alcotest.test_case "ESE pruned == full == naive on ties and zeros" `Quick
+      test_ese_pruned_degenerate;
+    Alcotest.test_case "ESE evaluation allocates O(d), not O(m)" `Quick
+      test_ese_allocation;
   ]

@@ -443,6 +443,36 @@ let prop_duplicates_keep_first =
       in
       Candidates.duplicates steps = expected)
 
+(* The definition [Candidates.cheapest] had before it became a bounded
+   selection: the oracle its first [n] must match entry for entry. *)
+let cheapest_oracle ~cap by_cost steps =
+  let sorted =
+    List.stable_sort (fun a b -> Float.compare (by_cost a) (by_cost b)) steps
+  in
+  match cap with
+  | None -> sorted
+  | Some n -> List.filteri (fun i _ -> i < n) sorted
+
+let prop_cheapest_is_stable_prefix =
+  let costs = [| 0.; -0.; 1.; 1.; 2.5; nan; infinity; neg_infinity; 1e-300 |] in
+  QCheck.Test.make ~count:500
+    ~name:"Candidates.cheapest equals the first n of a stable cost sort"
+    (QCheck.make
+       ~print:(fun l ->
+         String.concat " "
+           (List.map (fun (i, c) -> Printf.sprintf "%d:%h" i c) l))
+       QCheck.Gen.(
+         let* n = int_range 0 40 in
+         let* picks = list_repeat n (int_range 0 (Array.length costs - 1)) in
+         return (List.mapi (fun i p -> (i, costs.(p))) picks)))
+    (fun steps ->
+      let n = List.length steps in
+      List.for_all
+        (fun cap ->
+          List.map fst (Candidates.cheapest ~cap snd steps)
+          = List.map fst (cheapest_oracle ~cap snd steps))
+        [ None; Some 0; Some (-1); Some 1; Some (n / 2); Some n; Some (n + 5) ])
+
 let suite =
   [
     Alcotest.test_case "min-cost reaches tau" `Quick test_min_cost_reaches_tau;
@@ -466,4 +496,5 @@ let suite =
     Alcotest.test_case "combinatorial max-hit budget" `Quick test_combinatorial_max_hit_budget;
     QCheck_alcotest.to_alcotest prop_dedup_is_key_equality;
     QCheck_alcotest.to_alcotest prop_duplicates_keep_first;
+    QCheck_alcotest.to_alcotest prop_cheapest_is_stable_prefix;
   ]
