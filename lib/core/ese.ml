@@ -1,41 +1,25 @@
 open Geom
 
-(* How candidate strategies are classified against rivals.
+(* How candidate strategies find the queries to re-score.
 
-   [Full] is the original path: every cached prefix object is a
-   candidate rival, and flipped queries are found with the R-tree slab
-   search (a query may be flagged through several rivals, so callers
-   dedup). [Kth] is the pruned path: the target's membership in query
-   [q] depends only on the comparison against the frozen rank-k rival
-   [kth_other q] (prefixes do not move while a state is alive), so the
-   exact minimal rival set is [{ kth_other q : q }]. We store it as a
-   CSR index — queries grouped by their kth rival — and test each
-   rival's disjoint query block directly, with no R-tree walk and no
-   dedup. Both paths flag a query with the same side test on the same
-   floats, and re-score every flagged query exactly, so [evaluate]
-   results are bit-for-bit identical.
-
-   A query is flagged unless its plane value lies strictly on one side
-   of the plane at both positions. A value on the plane is a score tie
-   with the rival, which the ids decide: a target that wins the tie is
-   a member there, one that loses is not, so a sign test that put the
-   plane on one side would miss the target leaving (or entering) a
-   query it ties with — duplicate objects do exactly that.
-
-   [evaluate] always classifies from the unimproved target, so the
-   before side of every slab is a constant of the state: [prepare]
-   freezes it as two floats per rival and one byte per CSR slot,
-   computed with the operation sequence the general path uses. *)
+   [Full] is the paper's Algorithm 2: every cached prefix object is a
+   candidate rival, and the queries that can flip are found with the
+   R-tree slab search, which compares scores computed as
+   [member_after] computes them. [Kth] is the pruned path: the
+   target's membership in query
+   [q] depends only on its score against the frozen threshold of the
+   rank-k rival [kth_other q] (prefixes do not move while a state is
+   alive). [prepare] bounds, per query, the smallest [‖s‖∞] that can
+   move the target across that threshold (the query's reach, see
+   [band]) and sorts the queries by it; [evaluate] re-scores only the
+   sorted prefix a strategy can reach. Both paths re-score every query
+   they visit exactly with [member_after], so [evaluate] results are
+   bit-for-bit identical. *)
 type mode =
   | Full
   | Kth of {
-      rivals : int array; (* distinct kth rivals, ascending *)
-      roff : int array; (* CSR offsets into [rq]; length rivals+1 *)
-      rq : int array; (* query ids grouped by kth rival *)
-      brange : float array;
-          (* [2ri], [2ri+1]: low and high of the before-side normal
-             [(target - rival) +. 0.] over the query box *)
-      bside : Bytes.t; (* per CSR slot: [side] of the before-side plane value *)
+      band : int array; (* queries with a rank-k rival, by ascending reach *)
+      reach : float array; (* [reach.(i)]: the reach of query [band.(i)] *)
     }
 
 type state = {
@@ -43,8 +27,6 @@ type state = {
   target : int;
   members : bool array;
   base : int;
-  domain_lo : Vec.t;
-  domain_hi : Vec.t;
   dim : int;
   fdata : float array; (* Instance feature slab ([Flat.data]) *)
   wdata : float array; (* query-weight slab *)
@@ -57,48 +39,16 @@ type state = {
   eval_count : int Atomic.t;
 }
 
-(* Group queries by their kth rival into a CSR index: a stable sort of
-   the query ids by rival keeps rivals ascending and each block in
-   query order. It works in O(m log m) on query-sized arrays only — no
-   [n_objects]-sized scratch per prepare (see DESIGN.md, "Hot-path
-   layout & pruning"). Returns [(rivals, roff, rq)]. *)
-let build_kth_csr kth =
-  let n = Array.fold_left (fun acc r -> if r >= 0 then acc + 1 else acc) 0 kth in
-  let rq = Array.make n 0 and c = ref 0 in
-  Array.iteri
-    (fun q r ->
-      if r >= 0 then begin
-        rq.(!c) <- q;
-        incr c
-      end)
-    kth;
-  Array.stable_sort (fun a b -> Int.compare kth.(a) kth.(b)) rq;
-  let starts c = c = 0 || kth.(rq.(c)) <> kth.(rq.(c - 1)) in
-  let nr = ref 0 in
-  for c = 0 to n - 1 do
-    if starts c then incr nr
-  done;
-  let rivals = Array.make !nr 0 and roff = Array.make (!nr + 1) n in
-  let ri = ref 0 in
-  for c = 0 to n - 1 do
-    if starts c then begin
-      rivals.(!ri) <- kth.(rq.(c));
-      roff.(!ri) <- c;
-      incr ri
-    end
-  done;
-  (rivals, roff, rq)
-
 (* The dominance-layer certificate (see DESIGN.md, "Hot-path layout &
-   pruning"). Pruning to the kth-rival set is exact unconditionally;
-   the certificate additionally checks the geometric fact the k-regret
-   literature prunes by — every rank-k rival sits within the first
-   [k+1] onion/dominance layers (0-based: [layers kth <= k]), which
-   needs minimizing non-negative weights (Desc-order instances negate
-   weights at construction and fail here). A failed certificate means
-   the layer reasoning does not apply to this instance, so we keep the
-   conservative Full path rather than argue from geometry we cannot
-   witness. *)
+   pruning"). Pruning to the kth-rival thresholds is exact
+   unconditionally; the certificate additionally checks the geometric
+   fact the k-regret literature prunes by — every rank-k rival sits
+   within the first [k+1] onion/dominance layers (0-based:
+   [layers kth <= k]), which needs minimizing non-negative weights
+   (Desc-order instances negate weights at construction and fail here).
+   A failed certificate means the layer reasoning does not apply to
+   this instance, so we keep the conservative Full path rather than
+   argue from geometry we cannot witness. *)
 let certificate_holds inst ~layers ~kth =
   let queries = inst.Instance.queries in
   let m = Array.length queries in
@@ -120,73 +70,90 @@ let certificate_holds inst ~layers ~kth =
    with Exit -> ());
   !ok
 
-(* One side of a rival's slab: fill [n] with the normal
-   [(target - rival) +. s] and set [range.(0)]/[range.(1)] to its low
-   and high over the query bounding box, in one pass with no
-   allocation. Both sides of every slab, frozen or not, come from here,
-   so they share one operation sequence: the [base +. s] normal of the
-   original [Vec.sub]/[Vec.add] + [dot_range] code. *)
-let fill_side t ~rival ~s ~n ~range =
-  let d = t.dim in
-  if Array.length s <> d then invalid_arg "Geom.Vec: dimension mismatch";
-  let fdata = t.fdata in
-  let toff = t.target * d and roff = rival * d in
-  let lo = ref 0. and hi = ref 0. in
+let member_after t ~s ~q =
+  if t.kth.(q) = -1 then true
+  else begin
+    if Array.length s <> t.dim then invalid_arg "Geom.Vec: dimension mismatch";
+    (* [w . (feat_target + s)] with the accumulation sequence of
+       [Vec.dot w (Vec.add feat_target s)]. [band] repeats this loop at
+       [s = 0]: a shared helper would return a boxed float, because
+       ocamlopt does not inline a function with a loop. *)
+    let woff = q * t.dim and toff = t.target * t.dim in
+    let acc = ref 0. in
+    for j = 0 to t.dim - 1 do
+      acc := !acc +. (t.wdata.(woff + j) *. (t.fdata.(toff + j) +. s.(j)))
+    done;
+    (* [Topk.Eval.better acc target thr kth] spelled inline: a call
+       into another module boxes both floats (dune's dev profile
+       compiles with [-opaque], so nothing inlines across modules), an
+       allocation per re-scored query on this path. *)
+    let thr = t.thr.(q) in
+    !acc < thr || (!acc = thr && t.target < t.kth.(q))
+  end
+
+(* The slack of every reach bound, see [band]. *)
+let eps = 1e-12
+
+(* The dimension up to which [eps] covers the score's rounding error;
+   beyond it [prepare] keeps [Full]. *)
+let max_dim = 1024
+
+(* The reach band. Let [A(s)] be the float score [member_after]
+   computes for query [q], [a0 = A(0)], [W = ‖w_q‖₁], [T = ‖t‖∞] and
+   [γ = γ_{d+1}] (each term of [A] passes through at most d+1
+   roundings). Then
+     |A(s) − a0| <= W·‖s‖∞ + γ·W·(2T + ‖s‖∞),
+   so while [|a0 − thr|] exceeds that bound, [A(s) − thr] keeps the
+   strict sign of [a0 − thr] and the membership cannot change. The
+   reach solves the bound for [‖s‖∞], rounded down by
+     (|a0 − thr| − (d+1)·min_float)·(1 − ε) / W − 2ε·(T + 1),
+   and [evaluate] compares it with [σ = ‖s‖∞·(1 + ε)]. [ε] covers [γ]
+   and the roundings of the reach and of [σ] while [(d+5)·2⁻⁵³ < ε/2],
+   which [max_dim] keeps; the [min_float] term covers gradual
+   underflow, which the relative bound does not; the cap keeps every
+   partial sum of [A(s)] below [max_float / 2], so nothing overflows
+   within the reach. A tie ([a0 = thr], which the ids decide) and an
+   all-zero weight vector (a tie with every object) get a negative
+   reach, and a NaN reach becomes [neg_infinity]: all are always
+   re-scored. *)
+let band t =
+  let d = t.dim and m = Array.length t.kth in
+  let toff = t.target * d in
+  let tmax = ref 0. in
   for j = 0 to d - 1 do
-    let v = fdata.(toff + j) -. fdata.(roff + j) +. s.(j) in
-    n.(j) <- v;
-    if v >= 0. then begin
-      lo := !lo +. (v *. t.domain_lo.(j));
-      hi := !hi +. (v *. t.domain_hi.(j))
+    tmax := Float.max !tmax (abs_float t.fdata.(toff + j))
+  done;
+  let key = Array.make m neg_infinity and n = ref 0 in
+  for q = 0 to m - 1 do
+    if t.kth.(q) >= 0 then begin
+      incr n;
+      let a0 = ref 0. and w1 = ref 0. in
+      for j = 0 to d - 1 do
+        let w = t.wdata.((q * d) + j) in
+        a0 := !a0 +. (w *. (t.fdata.(toff + j) +. 0.));
+        w1 := !w1 +. abs_float w
+      done;
+      let r =
+        ((abs_float (!a0 -. t.thr.(q)) -. (float_of_int (d + 1) *. min_float))
+         *. (1. -. eps) /. !w1)
+        -. (2. *. eps *. (!tmax +. 1.))
+      in
+      let cap = (0.5 *. max_float /. Float.max !w1 1.) -. !tmax in
+      (* The lesser of the two; [neg_infinity] when either is NaN. *)
+      key.(q) <- (if r <= cap then r else if r > cap then cap else neg_infinity)
     end
-    else begin
-      lo := !lo +. (v *. t.domain_hi.(j));
-      hi := !hi +. (v *. t.domain_lo.(j))
+  done;
+  let band = Array.make !n 0 and c = ref 0 in
+  for q = 0 to m - 1 do
+    if t.kth.(q) >= 0 then begin
+      band.(!c) <- q;
+      incr c
     end
   done;
-  range.(0) <- !lo;
-  range.(1) <- !hi
-
-(* Whether some query in the box can change membership between a
-   before side ranging over [blo, bhi] and an after side over
-   [alo, ahi]: not when both ranges lie strictly on one side. Rounding
-   is monotone, so the box ranges bound every query's plane value. *)
-let[@inline] may_change ~blo ~bhi ~alo ~ahi =
-  not ((blo > 0. && alo > 0.) || (bhi < 0. && ahi < 0.))
-
-(* The side of query [q]'s plane value [n . w_q], accumulated in index
-   order: ['+'] strictly above, ['-'] strictly below, ['0'] on the
-   plane (a score tie) or NaN. *)
-let[@inline] side t n ~q =
-  let d = t.dim and wdata = t.wdata in
-  let woff = q * d in
-  let acc = ref 0. in
-  for j = 0 to d - 1 do
-    acc := !acc +. (n.(j) *. wdata.(woff + j))
-  done;
-  if !acc > 0. then '+' else if !acc < 0. then '-' else '0'
-
-(* A query whose before and after sides are not the same strict side
-   may change membership; [member_after] decides it exactly. *)
-let[@inline] may_flip before after = before = '0' || before <> after
-
-(* The before side of every slab [evaluate] classifies: the target at
-   [s = 0], for each kth rival, computed once here. *)
-let freeze_before t (rivals, roff, rq) =
-  let nr = Array.length rivals in
-  let zero = Vec.zero t.dim and nb = Vec.zero t.dim in
-  let range = Array.make 2 0. in
-  let brange = Array.make (2 * nr) 0. in
-  let bside = Bytes.create (Array.length rq) in
-  for ri = 0 to nr - 1 do
-    fill_side t ~rival:rivals.(ri) ~s:zero ~n:nb ~range;
-    brange.(2 * ri) <- range.(0);
-    brange.((2 * ri) + 1) <- range.(1);
-    for c = roff.(ri) to roff.(ri + 1) - 1 do
-      Bytes.set bside c (side t nb ~q:rq.(c))
-    done
-  done;
-  Kth { rivals; roff; rq; brange; bside }
+  Array.stable_sort (fun a b -> Float.compare key.(a) key.(b)) band;
+  let reach = Array.make !n 0. in
+  Array.iteri (fun i q -> reach.(i) <- key.(q)) band;
+  Kth { band; reach }
 
 let prepare ?layers index ~target =
   let inst = Query_index.instance index in
@@ -194,15 +161,6 @@ let prepare ?layers index ~target =
   let members = Array.init m (fun q -> Query_index.member index ~q target) in
   let base = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 members in
   let d = Instance.dim inst in
-  let domain_lo = Vec.make d infinity and domain_hi = Vec.make d neg_infinity in
-  Array.iter
-    (fun (q : Topk.Query.t) ->
-      let w = q.Topk.Query.weights in
-      for j = 0 to d - 1 do
-        if w.(j) < domain_lo.(j) then domain_lo.(j) <- w.(j);
-        if w.(j) > domain_hi.(j) then domain_hi.(j) <- w.(j)
-      done)
-    inst.Instance.queries;
   let flat = inst.Instance.flat in
   let kth = Array.make m (-1) in
   let thr = Array.make m 0. in
@@ -220,8 +178,6 @@ let prepare ?layers index ~target =
       target;
       members;
       base;
-      domain_lo;
-      domain_hi;
       dim = d;
       fdata = Flat.data flat;
       wdata = Flat.data inst.Instance.qflat;
@@ -232,8 +188,8 @@ let prepare ?layers index ~target =
     }
   in
   match layers with
-  | Some layers when certificate_holds inst ~layers ~kth ->
-      { t with mode = freeze_before t (build_kth_csr kth) }
+  | Some layers when d <= max_dim && certificate_holds inst ~layers ~kth ->
+      { t with mode = band t }
   | Some _ | None -> t
 
 let base_hits t = t.base
@@ -242,75 +198,64 @@ let pruned t = match t.mode with Full -> false | Kth _ -> true
 
 let rival_count t =
   match t.mode with
-  | Kth { rivals; _ } -> Array.length rivals
+  | Kth _ ->
+      Array.to_list t.kth
+      |> List.filter (fun r -> r >= 0)
+      |> List.sort_uniq Int.compare |> List.length
   | Full -> Array.length (Query_index.candidate_rivals t.index)
 
-let member_after t ~s ~q =
-  if t.kth.(q) = -1 then true
-  else begin
-    if Array.length s <> t.dim then invalid_arg "Geom.Vec: dimension mismatch";
-    (* [w . (feat_target + s)] with the accumulation sequence of
-       [Vec.dot w (Vec.add feat_target s)]. *)
-    let woff = q * t.dim and toff = t.target * t.dim in
-    let acc = ref 0. in
-    for j = 0 to t.dim - 1 do
-      acc := !acc +. (t.wdata.(woff + j) *. (t.fdata.(toff + j) +. s.(j)))
-    done;
-    (* [Topk.Eval.better acc target thr kth] spelled inline: a call
-       into another module boxes both floats (dune's dev profile
-       compiles with [-opaque], so nothing inlines across modules), an
-       allocation per dirty query on this path. *)
-    let thr = t.thr.(q) in
-    !acc < thr || (!acc = thr && t.target < t.kth.(q))
-  end
+(* The reach a strategy covers, [σ = ‖s‖∞·(1 + ε)]; a NaN coordinate
+   makes it infinite. *)
+let sigma t s =
+  if Array.length s <> t.dim then invalid_arg "Geom.Vec: dimension mismatch";
+  let m = ref 0. in
+  for j = 0 to t.dim - 1 do
+    let a = abs_float s.(j) in
+    if not (a <= !m) then m := if a > !m then a else infinity
+  done;
+  !m *. (1. +. eps)
 
-(* Queries whose order against some rival flips between the target's
-   position at [s_from] and at [s_to] (both relative to the base
-   feature vector), classified from scratch on both sides. Scratch
-   normals live per call, not per state: one state serves concurrent
-   evaluations from a Parallel pool. *)
-let collect_dirty_between t ~s_from ~s_to f =
-  let d = t.dim in
-  let nb = Array.make d 0. and na = Array.make d 0. in
-  let br = Array.make 2 0. and ar = Array.make 2 0. in
-  let slab rival =
-    fill_side t ~rival ~s:s_from ~n:nb ~range:br;
-    fill_side t ~rival ~s:s_to ~n:na ~range:ar;
-    may_change ~blo:br.(0) ~bhi:br.(1) ~alo:ar.(0) ~ahi:ar.(1)
-  in
-  match t.mode with
-  | Full ->
-      let visit rival =
-        if rival <> t.target && slab rival then
-          Query_index.slab_queries t.index ~normal_before:nb ~normal_after:na f
-      in
-      Array.iter visit (Query_index.candidate_rivals t.index)
-  | Kth { rivals; roff; rq; _ } ->
-      (* [kth_other] never returns the target, so no skip needed. Each
-         rival's query block is tested with the slab entry predicate
-         inlined. Blocks partition the queries that can change, so [f]
-         sees each query at most once. *)
-      for ri = 0 to Array.length rivals - 1 do
-        if slab rivals.(ri) then
-          for c = roff.(ri) to roff.(ri + 1) - 1 do
-            let qi = rq.(c) in
-            if may_flip (side t nb ~q:qi) (side t na ~q:qi) then f qi
-          done
-      done
+(* The length of the band prefix whose reach is within [sigma]. *)
+let reachable reach sigma =
+  let i = ref 0 in
+  while !i < Array.length reach && reach.(!i) <= sigma do
+    incr i
+  done;
+  !i
 
-let collect_dirty t ~s f =
-  let d = Vec.dim s in
-  collect_dirty_between t ~s_from:(Vec.zero d) ~s_to:s f
+(* The paper's affected subspaces between the target at [s_from] and
+   at [s_to] (both relative to the base feature vector): the R-tree
+   slab search over every cached rival. A query can be flagged through
+   several rivals, so the set is deduplicated. *)
+let slab_set t ~s_from ~s_to =
+  let features = (Query_index.instance t.index).Instance.features in
+  let p = features.(t.target) in
+  let before = Vec.add p s_from and after = Vec.add p s_to in
+  let seen = Hashtbl.create 64 in
+  Array.iter
+    (fun rival ->
+      if rival <> t.target then
+        Query_index.slab_queries t.index ~rival:features.(rival) ~before ~after
+          (fun qi -> Hashtbl.replace seen qi ()))
+    (Query_index.candidate_rivals t.index);
+  seen
+
+let sorted_keys seen =
+  Hashtbl.fold (fun qi () acc -> qi :: acc) seen [] |> List.sort Int.compare
 
 let dirty_queries t ~s =
-  let seen = Hashtbl.create 64 in
-  collect_dirty t ~s (fun qi -> Hashtbl.replace seen qi ());
-  Hashtbl.fold (fun qi () acc -> qi :: acc) seen [] |> List.sort Int.compare
+  sorted_keys (slab_set t ~s_from:(Vec.zero (Vec.dim s)) ~s_to:s)
 
 let dirty_between t ~s_from ~s_to =
-  let seen = Hashtbl.create 64 in
-  collect_dirty_between t ~s_from ~s_to (fun qi -> Hashtbl.replace seen qi ());
-  Hashtbl.fold (fun qi () acc -> qi :: acc) seen [] |> List.sort Int.compare
+  match t.mode with
+  | Full -> sorted_keys (slab_set t ~s_from ~s_to)
+  | Kth { band; reach } ->
+      (* A query beyond both prefixes has the membership of [s = 0] at
+         both positions. *)
+      let n =
+        Int.max (reachable reach (sigma t s_from)) (reachable reach (sigma t s_to))
+      in
+      List.init n (fun i -> band.(i))
 
 (* [Vec.is_zero ~eps:0.] without its closure. *)
 let is_zero s =
@@ -326,10 +271,6 @@ let evaluate t ~s =
   else
     match t.mode with
     | Full ->
-        (* A query can be flagged through several rivals here, so dedup
-           before applying membership deltas. *)
-        let seen = Hashtbl.create 64 in
-        collect_dirty t ~s (fun qi -> Hashtbl.replace seen qi ());
         Hashtbl.fold
           (fun qi () acc ->
             let before = t.members.(qi) in
@@ -337,31 +278,21 @@ let evaluate t ~s =
             acc
             + (if after && not before then 1 else 0)
             - (if before && not after then 1 else 0))
-          seen t.base
-    | Kth { rivals; roff; rq; brange; bside } ->
-        (* The before side is frozen, so only the after side is
-           computed: per rival its normal and box range, per query of a
-           block whose side can change. Disjoint CSR blocks: each
-           dirty query arrives exactly once. The only allocation is the
-           after-side scratch, O(d). *)
-        let na = Array.make t.dim 0. and ar = Array.make 2 0. in
-        let acc = ref t.base in
-        for ri = 0 to Array.length rivals - 1 do
-          fill_side t ~rival:rivals.(ri) ~s ~n:na ~range:ar;
-          if
-            may_change ~blo:brange.(2 * ri)
-              ~bhi:brange.((2 * ri) + 1)
-              ~alo:ar.(0) ~ahi:ar.(1)
-          then
-            for c = roff.(ri) to roff.(ri + 1) - 1 do
-              let qi = rq.(c) in
-              if may_flip (Bytes.get bside c) (side t na ~q:qi) then begin
-                let before = t.members.(qi) in
-                let after = member_after t ~s ~q:qi in
-                if after && not before then incr acc
-                else if before && not after then decr acc
-              end
-            done
+          (slab_set t ~s_from:(Vec.zero t.dim) ~s_to:s)
+          t.base
+    | Kth { band; reach } ->
+        (* Only the reachable prefix can differ from the base
+           memberships. The prefix scan and the re-scoring are one
+           inline loop, so the only allocation is the boxed [sigma]. *)
+        let sigma = sigma t s in
+        let acc = ref t.base and i = ref 0 in
+        while !i < Array.length band && reach.(!i) <= sigma do
+          let qi = band.(!i) in
+          let before = t.members.(qi) in
+          let after = member_after t ~s ~q:qi in
+          if after && not before then incr acc
+          else if before && not after then decr acc;
+          incr i
         done;
         !acc
 

@@ -6,7 +6,9 @@
     slab between an intersection involving the target and its
     post-strategy image (Equations 4–5) — and re-scores each such query
     in O(d) using the cached rank-k rival ("switch the rank of f_i and
-    f_l" rather than re-evaluating the query). *)
+    f_l" rather than re-evaluating the query). A pruned state narrows
+    that to the queries whose k-th threshold the strategy can reach
+    (see {!prepare}). *)
 
 open Geom
 
@@ -17,15 +19,17 @@ val prepare : ?layers:(int -> int) -> Query_index.t -> target:int -> state
     the per-query rank-k rival and threshold (so {!member_after} and
     {!hit_constraint} run in O(d) with no index walk).
 
-    [layers] enables geometric rival pruning: it maps an object id to
-    its 0-based onion/dominance layer (see [Topk.Onion.layer_of]).
-    When provided {e and} the layer certificate holds — all query
-    weights non-negative and every rank-k rival within its query's
-    first [k+1] layers — candidate evaluation iterates only the exact
-    kth-rival set instead of every cached prefix object, returning
-    bit-for-bit identical counts. A failed certificate (e.g. a
-    [Desc]-order instance, whose weights are negated) silently falls
-    back to the unpruned path. *)
+    [layers] enables the pruned path: it maps an object id to its
+    0-based onion/dominance layer (see [Topk.Onion.layer_of]). When
+    provided {e and} the layer certificate holds — all query weights
+    non-negative and every rank-k rival within its query's first [k+1]
+    layers — [prepare] also computes each query's reach, a lower bound
+    on the [‖s‖∞] of any strategy that can move the target across the
+    query's k-th threshold, and sorts the queries by it (O(m·d +
+    m log m)). A failed certificate (e.g. a [Desc]-order instance,
+    whose weights are negated) or a dimension above 1024 silently
+    keeps the unpruned path. Both paths return bit-for-bit identical
+    counts. *)
 
 val base_hits : state -> int
 (** [H(p_i)] before any improvement. *)
@@ -34,7 +38,11 @@ val member : state -> q:int -> bool
 (** Base membership of the target in query [q]'s result. *)
 
 val evaluate : state -> s:Strategy.t -> int
-(** [H(p_i + s)] — Algorithm 2. [s] lives in feature space. *)
+(** [H(p_i + s)] — Algorithm 2. [s] lives in feature space. A pruned
+    state re-scores, with {!member_after}, only the queries whose reach
+    is within [‖s‖∞] (a NaN coordinate reaches every query) and
+    allocates O(1) words; an unpruned one re-scores the slab search's
+    affected subspaces. *)
 
 val member_after : state -> s:Strategy.t -> q:int -> bool
 (** Whether the improved target hits query [q]; O(d) via the cached
@@ -49,23 +57,28 @@ val hit_constraint :
     than k other objects). *)
 
 val dirty_queries : state -> s:Strategy.t -> int list
-(** The affected-subspace query set for [s] (exposed for tests). *)
+(** The paper's affected-subspace query set for [s]: the R-tree slab
+    search over every cached rival, on pruned and unpruned states
+    alike. Sorted ascending. *)
 
 val dirty_between :
   state -> s_from:Strategy.t -> s_to:Strategy.t -> int list
 (** Queries whose result can differ between the target improved by
-    [s_from] and by [s_to] — the slab between the two strategy
-    positions. Incremental searches (Section 5.1) use this to keep
-    per-target membership caches exact across accumulated steps. *)
+    [s_from] and by [s_to]. Incremental searches (Section 5.1) use this
+    to keep per-target membership caches exact across accumulated
+    steps. An unpruned state returns the slab between the two strategy
+    positions, sorted ascending; a pruned one the queries whose reach
+    is within [max ‖s_from‖∞ ‖s_to‖∞], by ascending reach. Neither
+    lists a query twice. *)
 
 val evaluations : state -> int
 (** Number of [evaluate] calls so far (benchmark instrumentation). *)
 
 val pruned : state -> bool
-(** Whether this state evaluates against the pruned kth-rival set
-    (the [layers] certificate held at {!prepare} time). *)
+(** Whether this state evaluates through the reach band (the [layers]
+    certificate held at {!prepare} time). *)
 
 val rival_count : state -> int
-(** Rivals the slab classification loop visits per evaluation: the
-    distinct rank-k rivals when pruned, the full cached prefix set
-    otherwise. *)
+(** The rivals that decide the target's memberships: the distinct
+    rank-k rivals when pruned, the full cached prefix set otherwise.
+    Computed on each call (O(m log m) when pruned). *)

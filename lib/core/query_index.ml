@@ -148,38 +148,28 @@ let member t ~q id =
   in
   scan 0
 
-let slab_queries t ~normal_before ~normal_after f =
+let slab_queries t ~rival ~before ~after f =
   let inst = t.inst in
-  (* [box_min_max_n] ranges the bare normals directly — the previous
-     code constructed two offset-0 [Hyperplane.t] per R-tree node
-     visited, which dominated the slab search's allocation profile. A
-     node is skipped only when both normals keep its whole box strictly
-     on one side. *)
+  (* A position's score range over a node box: [box_min_max_n] sums
+     [v_j *. lo_j] or [v_j *. hi_j] in [Vec.dot]'s order, so, rounding
+     being monotone, it bounds the float score of every query in the
+     box. A node is skipped only when both positions score strictly on
+     one side of the rival over its whole box. *)
   let may_change box =
-    let bmin, bmax =
-      Hyperplane.box_min_max_n ~normal:normal_before ~lo:box.Box.lo
-        ~hi:box.Box.hi
-    in
-    let amin, amax =
-      Hyperplane.box_min_max_n ~normal:normal_after ~lo:box.Box.lo
-        ~hi:box.Box.hi
-    in
-    not ((bmin > 0. && amin > 0.) || (bmax < 0. && amax < 0.))
+    let range v = Hyperplane.box_min_max_n ~normal:v ~lo:box.Box.lo ~hi:box.Box.hi in
+    let bmin, bmax = range before and amin, amax = range after in
+    let rmin, rmax = range rival in
+    not ((bmin > rmax && amin > rmax) || (bmax < rmin && amax < rmin))
   in
   let visit qi =
     let w = inst.Instance.queries.(qi).Topk.Query.weights in
-    let before = Vec.dot normal_before w and after = Vec.dot normal_after w in
-    if not ((before > 0. && after > 0.) || (before < 0. && after < 0.)) then
-      f qi
+    let sr = Vec.dot w rival in
+    let sb = Vec.dot w before and sa = Vec.dot w after in
+    if not ((sb > sr && sa > sr) || (sb < sr && sa < sr)) then f qi
   in
-  if Vec.is_zero ~eps:0. normal_before || Vec.is_zero ~eps:0. normal_after then
-    for qi = 0 to Array.length inst.Instance.queries - 1 do
-      visit qi
-    done
-  else
-    Rtree.search_pred t.rtree ~node_pred:may_change
-      ~entry_pred:(fun _ -> true)
-      ~f:(fun _box qi -> visit qi)
+  Rtree.search_pred t.rtree ~node_pred:may_change
+    ~entry_pred:(fun _ -> true)
+    ~f:(fun _box qi -> visit qi)
 
 (* --- Section 4.3: data updating ------------------------------------- *)
 

@@ -67,13 +67,15 @@ val member : t -> q:int -> int -> bool
 (** Whether object [id] is in query [q]'s top-k (from the cache). *)
 
 val slab_queries :
-  t -> normal_before:Vec.t -> normal_after:Vec.t -> (int -> unit) -> unit
-(** Visit every query index [q] whose values [normal_before . q] and
-    [normal_after . q] do not lie strictly on one side of zero together
-    — the affected subspace between an intersection and its
-    post-strategy image (Section 4.1), closed: a point on either
-    hyperplane is a score tie that object ids decide, so it is always
-    visited. Uses R-tree pruning via per-node interval bounds. *)
+  t -> rival:Vec.t -> before:Vec.t -> after:Vec.t -> (int -> unit) -> unit
+(** Visit every query index [q] under which the positions [before] and
+    [after] do not both score strictly on one side of [rival] — the
+    affected subspace between an intersection and its post-strategy
+    image (Section 4.1), closed: a query on either hyperplane is a
+    score tie that object ids decide, so it is always visited. Scores
+    are [Vec.dot w p], the float operation sequence every evaluator
+    ranks by, so the slab agrees with them exactly at ties and near
+    ties. Uses R-tree pruning via per-node score ranges. *)
 
 (** {2 Data updating — Section 4.3}
 

@@ -337,11 +337,11 @@ let prop_interleaving_matches_rebuild =
         let rng = Workload.Rng.make (seed + 1) in
         List.for_all
           (fun _ ->
-            let normal () = Array.init d (fun _ -> Workload.Rng.uniform rng -. 0.5) in
-            let normal_before = normal () and normal_after = normal () in
+            let point () = Array.init d (fun _ -> Workload.Rng.uniform rng) in
+            let rival = point () and before = point () and after = point () in
             let visited idx =
               let acc = ref [] in
-              Query_index.slab_queries idx ~normal_before ~normal_after (fun q ->
+              Query_index.slab_queries idx ~rival ~before ~after (fun q ->
                   acc := q :: !acc);
               List.sort Int.compare !acc
             in

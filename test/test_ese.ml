@@ -79,26 +79,28 @@ let test_slab_search_exact () =
   let inst = make_instance ~n:40 ~m:200 () in
   let idx = Query_index.build inst in
   let rng = Workload.Rng.make 77 in
-  for _ = 1 to 30 do
-    let nb = Array.init 3 (fun _ -> Workload.Rng.uniform rng -. 0.5) in
-    let na = Array.init 3 (fun _ -> Workload.Rng.uniform rng -. 0.5) in
-    if (not (Geom.Vec.is_zero nb)) && not (Geom.Vec.is_zero na) then begin
-      let got = ref [] in
-      Query_index.slab_queries idx ~normal_before:nb ~normal_after:na
-        (fun qi -> got := qi :: !got);
-      let expected = ref [] in
-      Array.iteri
-        (fun qi (q : Topk.Query.t) ->
-          let w = q.Topk.Query.weights in
-          let before = Geom.Vec.dot nb w and after = Geom.Vec.dot na w in
-          if not ((before > 0. && after > 0.) || (before < 0. && after < 0.))
-          then expected := qi :: !expected)
-        inst.Instance.queries;
-      Alcotest.(check (list int))
-        "slab = brute force"
-        (List.sort Int.compare !expected)
-        (List.sort Int.compare !got)
-    end
+  let point () = Array.init 3 (fun _ -> Workload.Rng.uniform rng) in
+  for trial = 1 to 30 do
+    let rival = point () and before = point () in
+    (* Every fifth trial starts on the rival: a tie under every query. *)
+    let before = if trial mod 5 = 0 then Array.copy rival else before in
+    let after = point () in
+    let got = ref [] in
+    Query_index.slab_queries idx ~rival ~before ~after (fun qi ->
+        got := qi :: !got);
+    let expected = ref [] in
+    Array.iteri
+      (fun qi (q : Topk.Query.t) ->
+        let w = q.Topk.Query.weights in
+        let sr = Geom.Vec.dot w rival in
+        let sb = Geom.Vec.dot w before and sa = Geom.Vec.dot w after in
+        if not ((sb > sr && sa > sr) || (sb < sr && sa < sr)) then
+          expected := qi :: !expected)
+      inst.Instance.queries;
+    Alcotest.(check (list int))
+      "slab = brute force"
+      (List.sort Int.compare !expected)
+      (List.sort Int.compare !got)
   done
 
 (* --- ESE vs naive (the paper's core equivalence) --- *)
@@ -189,21 +191,32 @@ let test_hit_constraint_is_tight () =
 let test_dirty_between_covers_changes () =
   (* Any membership difference between two strategy positions must lie
      in their dirty_between set — the invariant the combinatorial
-     search relies on for its incremental membership caches. *)
+     search relies on for its incremental membership caches. Checked on
+     the slab search of an unpruned state and on the reach band of a
+     pruned one, which lists each query once. *)
   let inst = make_instance ~n:70 ~m:90 ~seed:47 () in
   let idx = Query_index.build inst in
-  let state = Ese.prepare idx ~target:4 in
+  let layers = Topk.Onion.layer_of (Topk.Onion.build inst.Instance.features) in
+  let full = Ese.prepare idx ~target:4 in
+  let kth = Ese.prepare ~layers idx ~target:4 in
+  Alcotest.(check bool) "layered state is pruned" true (Ese.pruned kth);
   let rng = Workload.Rng.make 29 in
   for _ = 1 to 12 do
     let s1 = Array.init 3 (fun _ -> (Workload.Rng.uniform rng -. 0.5) *. 0.4) in
     let s2 = Array.init 3 (fun _ -> (Workload.Rng.uniform rng -. 0.5) *. 0.4) in
-    let dirty = Ese.dirty_between state ~s_from:s1 ~s_to:s2 in
-    for q = 0 to Instance.n_queries inst - 1 do
-      let m1 = Ese.member_after state ~s:s1 ~q in
-      let m2 = Ese.member_after state ~s:s2 ~q in
-      if m1 <> m2 && not (List.mem q dirty) then
-        Alcotest.failf "change at q=%d missed by dirty_between" q
-    done
+    List.iter
+      (fun state ->
+        let dirty = Ese.dirty_between state ~s_from:s1 ~s_to:s2 in
+        if List.length (List.sort_uniq Int.compare dirty) <> List.length dirty
+        then Alcotest.fail "dirty_between listed a query twice";
+        for q = 0 to Instance.n_queries inst - 1 do
+          let m1 = Ese.member_after state ~s:s1 ~q in
+          let m2 = Ese.member_after state ~s:s2 ~q in
+          if m1 <> m2 && not (List.mem q dirty) then
+            Alcotest.failf "change at q=%d missed by dirty_between (pruned=%b)"
+              q (Ese.pruned state)
+        done)
+      [ full; kth ]
   done
 
 let test_evaluations_counter () =

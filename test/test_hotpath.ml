@@ -33,11 +33,13 @@ let layers_of inst =
    exactly on every strategy, and [member_after] on every query; the
    pruned dirty set may drop queries whose membership cannot change,
    never add any. [strategies target] is called once per target, in
-   order. Returns whether the certificate held for some target, so
-   each instance can insist the pruned path ran. *)
-let check_pruned_equals_full inst ~targets ~strategies =
+   order. [layers] defaults to the instance's onion layers. Returns
+   whether the certificate held for some target, so each instance can
+   insist the pruned path ran. *)
+let check_pruned_equals_full ?layers inst ~targets ~strategies =
   let idx = Query_index.build inst in
-  let layers = layers_of inst in
+  let layers = match layers with Some l -> l | None -> layers_of inst in
+  let zero = Array.make (Instance.dim inst) 0. in
   let pruned_seen = ref false in
   List.iter
     (fun target ->
@@ -55,6 +57,12 @@ let check_pruned_equals_full inst ~targets ~strategies =
         (Ese.base_hits kth);
       Alcotest.(check int) "base hits match naive" naive.Evaluator.base_hits
         (Ese.base_hits kth);
+      (* The base memberships the pruned path keeps for every query it
+         does not re-score. *)
+      for q = 0 to Instance.n_queries inst - 1 do
+        if Ese.member kth ~q <> Ese.member_after kth ~s:zero ~q then
+          Alcotest.failf "target=%d q=%d: member <> member_after at 0" target q
+      done;
       List.iter
         (fun s ->
           let label =
@@ -95,7 +103,7 @@ let test_ese_pruned_equals_full () =
     "certificate held for at least one target" true
     (check_pruned_equals_full inst ~targets:(List.init 8 Fun.id) ~strategies)
 
-(* The frozen before side on degenerate inputs: duplicated objects put
+(* Exactness on degenerate inputs: duplicated objects put
    exact ties at rank k (the target against its own copy, both ways
    round the id tie-break), queries with zero weight components tie
    every object that differs only there, and the strategies include
@@ -140,10 +148,11 @@ let test_ese_pruned_degenerate () =
     "certificate held for at least one target" true
     (check_pruned_equals_full inst ~targets ~strategies)
 
-(* The evaluation hot path allocates per call, not per rival or per
-   dirty query: a pruned [evaluate] only its O(d) after-side scratch,
-   [member_after] nothing. Bytecode boxes every float, so the bound is
-   checked on native code only. *)
+(* The evaluation hot path allocates per call, not per query it
+   re-scores: a pruned [evaluate] only its boxed reach bound,
+   [member_after] nothing. The query counts run from 60 to 2400, so a
+   cost that grew with m would show. Bytecode boxes every float, so the
+   bound is checked on native code only. *)
 let test_ese_allocation () =
   if Sys.backend_type = Sys.Native then
     List.iter
@@ -153,10 +162,13 @@ let test_ese_allocation () =
         let st = Ese.prepare ~layers:(layers_of inst) idx ~target:3 in
         Alcotest.(check bool) "state is pruned" true (Ese.pruned st);
         let s = [| -0.2; -0.15; -0.25 |] in
-        let dirty = List.length (Ese.dirty_queries st ~s) in
-        if dirty < m / 4 then
-          Alcotest.failf "m=%d: only %d dirty queries, too few to show a \
-                          per-query allocation" m dirty;
+        (* On a pruned state, the band prefix [evaluate] re-scores. *)
+        let rescored =
+          List.length (Ese.dirty_between st ~s_from:(Array.make 3 0.) ~s_to:s)
+        in
+        if rescored < m / 4 then
+          Alcotest.failf "m=%d: only %d re-scored queries, too few to show a \
+                          per-query allocation" m rescored;
         let calls = 500 in
         let words f =
           f ();
@@ -173,12 +185,98 @@ let test_ese_allocation () =
           words (fun () ->
               ignore (Sys.opaque_identity (Ese.member_after st ~s ~q:(m - 1))))
         in
-        if per_eval > 16. then
-          Alcotest.failf "m=%d: %.1f words per evaluate (%d rivals, %d dirty)" m
-            per_eval (Ese.rival_count st) dirty;
+        if per_eval > 2. then
+          Alcotest.failf "m=%d: %.1f words per evaluate (%d re-scored)" m
+            per_eval rescored;
         if per_member > 1. then
           Alcotest.failf "m=%d: %.1f words per member_after" m per_member)
-      [ 60; 240 ]
+      [ 60; 240; 2400 ]
+
+(* The reach band on its edges. Targets are near copies of good objects
+   (exact, and one ulp either side on one coordinate), so scores tie
+   the k-th threshold or miss it by an ulp; query 0 has all-zero
+   weights. Steps include, per query, the L∞-smallest step that
+   reaches its threshold scaled by [1 ± 1e-9] (and unscaled),
+   subnormal steps and [±infinity]/[nan] coordinates. A layer map that
+   puts every object in layer 0 makes the certificate hold, so the
+   pruned path runs on every target. (The index built here is only
+   read for the kth rivals the steps aim at.) *)
+let prop_ese_band_exact =
+  let gen =
+    QCheck.Gen.(
+      let* seed = int_range 1 10_000 in
+      let* d = oneofl [ 1; 3; 8 ] in
+      return (seed, d))
+  in
+  let arb =
+    QCheck.make ~print:(fun (seed, d) -> Printf.sprintf "seed=%d d=%d" seed d) gen
+  in
+  QCheck.Test.make ~name:"ESE pruned == full == naive on the reach band's edges"
+    ~count:6 arb (fun (seed, d) ->
+      let rng = Workload.Rng.make seed in
+      let n = 40 in
+      let base =
+        Workload.Datagen.generate rng Workload.Datagen.Independent ~n ~d
+      in
+      let sum v = Array.fold_left ( +. ) 0. v in
+      let best = Array.init n Fun.id in
+      Array.stable_sort (fun i j -> Float.compare (sum base.(i)) (sum base.(j))) best;
+      let near c nudge =
+        let p = Array.copy base.(best.(c)) in
+        p.(c mod d) <- nudge p.(c mod d);
+        p
+      in
+      let copies =
+        List.concat_map
+          (fun c -> [ near c Fun.id; near c Float.succ; near c Float.pred ])
+          [ 0; 1; 2 ]
+      in
+      let data = Array.append base (Array.of_list copies) in
+      let queries =
+        Workload.Querygen.linear rng Workload.Querygen.Uniform ~k_range:(1, 5)
+          ~m:30 ~d ()
+        |> List.mapi (fun i (q : Topk.Query.t) ->
+               if i = 0 then
+                 Topk.Query.make ~id:q.Topk.Query.id ~k:q.Topk.Query.k
+                   (Array.make d 0.)
+               else q)
+      in
+      let inst = Instance.create ~data ~queries () in
+      let idx = Query_index.build inst in
+      let tiny = Float.succ 0. in
+      let fixed =
+        [
+          Array.make d 0.;
+          Array.make d tiny;
+          Array.make d (-.tiny);
+          Array.init d (fun j -> if j = 0 then -5e-320 else 0.);
+          Array.init d (fun j -> if j = 0 then infinity else -0.1);
+          Array.init d (fun j -> if j = 0 then neg_infinity else 0.);
+          Array.init d (fun j -> if j = d - 1 then nan else -0.1);
+        ]
+      in
+      (* Per query, the step of L∞ norm |gap| / ‖w‖₁ that moves the
+         score by the gap towards the threshold, scaled. *)
+      let reaching target =
+        let p = inst.Instance.features.(target) in
+        List.concat_map
+          (fun q ->
+            match Query_index.kth_other idx ~q ~target with
+            | None -> []
+            | Some r ->
+                let w = inst.Instance.queries.(q).Topk.Query.weights in
+                let gap = Geom.Vec.dot w p -. Geom.Vec.dot w inst.Instance.features.(r) in
+                let w1 = Array.fold_left (fun a x -> a +. abs_float x) 0. w in
+                let c = abs_float gap /. w1 in
+                let dir = if gap > 0. then -1. else 1. in
+                List.map
+                  (fun f -> Array.make d (dir *. c *. f))
+                  [ 1. -. 1e-9; 1.; 1. +. 1e-9 ])
+          (List.init (Instance.n_queries inst) Fun.id)
+      in
+      let targets = best.(0) :: List.init 9 (fun i -> n + i) in
+      check_pruned_equals_full ~layers:(fun _ -> 0) inst ~targets
+        ~strategies:(fun target -> fixed @ reaching target))
 
 let test_ese_desc_falls_back () =
   (* Desc-order instances negate weights at construction, so the
@@ -270,6 +368,34 @@ let prop_engine_prune_oracle =
               true)
             [ pool1; pool4 ])
         [ "ese"; "scan"; "rta" ])
+
+(* [Engine.dirty_queries] is the paper's affected subspace whichever
+   ESE path evaluates: pruning changes which queries [evaluate]
+   re-scores, never this set. *)
+let test_dirty_queries_prune_invariant () =
+  let inst = make_instance ~seed:21 ~n:150 ~m:80 () in
+  let on = ok (Engine.create ~prune:true ~pool:pool1 inst) in
+  let off = ok (Engine.create ~prune:false ~pool:pool1 inst) in
+  let rng = Workload.Rng.make 8 in
+  let total = ref 0 in
+  List.iter
+    (fun target ->
+      for _ = 1 to 6 do
+        let s =
+          Array.init 3 (fun _ -> (Workload.Rng.uniform rng -. 0.5) *. 0.5)
+        in
+        let pruned = ok (Engine.dirty_queries on ~target ~s) in
+        Alcotest.(check (list int))
+          "prune on = prune off"
+          (ok (Engine.dirty_queries off ~target ~s))
+          pruned;
+        total := !total + List.length pruned
+      done)
+    [ 0; 7; 42 ];
+  Alcotest.(check bool)
+    "the pruned engine built its layer index" true
+    (Engine.dominance_stats on <> None);
+  Alcotest.(check bool) "some query is affected" true (!total > 0)
 
 (* --- lazy dominance index: generation-tracked invalidation ----------- *)
 
@@ -387,4 +513,7 @@ let suite =
       test_ese_pruned_degenerate;
     Alcotest.test_case "ESE evaluation allocates O(d), not O(m)" `Quick
       test_ese_allocation;
+    QCheck_alcotest.to_alcotest prop_ese_band_exact;
+    Alcotest.test_case "dirty_queries is the same set with pruning on/off"
+      `Quick test_dirty_queries_prune_invariant;
   ]

@@ -5,7 +5,11 @@
 #    sharded index build, the parallel candidate fan-out, and the
 #    cross-domain determinism check (the bench exits non-zero if
 #    outcomes diverge across domain counts).
-# 2. End-to-end benchmark self-checks: perfbench/e2e.exe runs each
+# 2. Ablations: besides their tables, they assert that ESE, the naive
+#    scan and RTA count the same hits at n = 6000, m = 800 over five
+#    step sizes, a scale no unit test reaches; a mismatch exits
+#    non-zero.
+# 3. End-to-end benchmark self-checks: perfbench/e2e.exe runs each
 #    BENCHMARK.json workload for one second with per-layer tracing, at
 #    seed 1 and at the held-out seed 2027, and exits non-zero when a
 #    naive-evaluator recheck disagrees, the traced and untraced answer
@@ -23,6 +27,7 @@ cd "$(dirname "$0")/.."
 export REPRO_SCALE="${REPRO_SCALE:-0.02}"
 export IQ_DOMAINS="${IQ_DOMAINS:-2}"
 dune exec bench/main.exe -- --bench parallel
+dune exec bench/main.exe -- --bench ablations
 dune build perfbench/e2e.exe
 pinned=tools/perfbench-digests.txt
 for seed in 1 2027; do
