@@ -92,14 +92,9 @@ let ese_vs_naive () =
   Printf.printf
     "    per-target setup: ese %.1f ms | naive %.1f ms | rta %.1f ms\n"
     (1000. *. t_ese_setup) (1000. *. t_naive_setup) (1000. *. t_rta_setup);
-  (* The pruned state the engine's ESE backend holds, prepared here too
+  (* The band state the engine's ESE backend holds, prepared here too
      so the table can show the band prefix [evaluate] re-scores. *)
-  let features = (Iq.Engine.instance engine).Iq.Instance.features in
-  let state =
-    Iq.Ese.prepare
-      ~layers:(Topk.Onion.layer_of (Topk.Onion.build features))
-      (Iq.Engine.index engine) ~target
-  in
+  let state = Iq.Ese.prepare (Iq.Engine.index engine) ~target in
   Harness.row
     [
       " step size"; "   ese(us)"; " naive(us)"; "   rta(us)"; " dirty-qs";

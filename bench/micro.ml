@@ -29,11 +29,8 @@ let prepared =
          (List.init (Array.length data) (fun i ->
               (Geom.Box.of_point data.(i), i)))
      in
-     let layers =
-       Topk.Onion.layer_of (Topk.Onion.build inst.Iq.Instance.features)
-     in
-     let ese_full = Iq.Ese.prepare index ~target:0 in
-     let ese_pruned = Iq.Ese.prepare ~layers index ~target:0 in
+     let ese_full = Iq.Ese.prepare ~prune:false index ~target:0 in
+     let ese_pruned = Iq.Ese.prepare index ~target:0 in
      (data, inst, index, ese, ta, dominance, rtree, ese_full, ese_pruned))
 
 let tests () =

@@ -85,7 +85,7 @@ module type BACKEND = sig
   val name : string
 
   val prepare :
-    layers:(int -> int) option ->
+    layers:bool ->
     index:Query_index.t ->
     pool:Parallel.pool ->
     target:int ->
@@ -98,7 +98,7 @@ module Ese_backend = struct
   let name = "ese"
 
   let prepare ~layers ~index ~pool:_ ~target =
-    let state = Ese.prepare ?layers index ~target in
+    let state = Ese.prepare ~prune:layers index ~target in
     (Evaluator.of_state index state, Some state)
 end
 
@@ -240,10 +240,6 @@ type t = {
   seen : (int, int) Hashtbl.t;
   pins : (int, int) Hashtbl.t;
   bstats : (string, bstat) Hashtbl.t;
-  last_dom : (int * int) option Atomic.t;
-      (* (generation, layer_count) of the most recently built onion,
-         for {!dominance_stats}: a stale pair after a mutation is the
-         observable form of "rebuilt lazily on next prepare" *)
   repreps : int Atomic.t;
   retired_evals : int Atomic.t;
       (* evaluation counts of retired snapshots and replaced cache
@@ -303,9 +299,7 @@ let of_index ?backend ?resilience ?prune ?generation ?pool index =
   let* b = resolve_backend backend in
   let* res = resolve_resilience resilience in
   let pool = match pool with Some p -> p | None -> Parallel.default () in
-  let prune =
-    match prune with Some p -> p | None -> Workload.Config.prune ()
-  in
+  let prune = Option.value prune ~default:true in
   let chain = chain_of b in
   let bstats = Hashtbl.create 4 in
   Array.iter
@@ -320,13 +314,12 @@ let of_index ?backend ?resilience ?prune ?generation ?pool index =
       chain;
       res;
       prune;
-      current = Atomic.make (Snapshot.root ?generation ~prune index);
+      current = Atomic.make (Snapshot.root ?generation index);
       wlock = Mutex.create ();
       slock = Mutex.create ();
       seen = Hashtbl.create 16;
       pins = Hashtbl.create 8;
       bstats;
-      last_dom = Atomic.make None;
       repreps = Atomic.make 0;
       retired_evals = Atomic.make 0;
       deadline_trips = Atomic.make 0;
@@ -384,9 +377,7 @@ let backend_name t =
   let (module B : BACKEND) = t.backend in
   B.name
 
-let pruning_enabled t = t.prune
-
-let dominance_stats t = Atomic.get t.last_dom
+let dominance_stats _ = None
 
 (* {2 Validation} *)
 
@@ -455,7 +446,7 @@ let prepare_in t snap ~target ~from_pos =
           Atomic.incr st.bs_attempts;
           match
             Resilience.Fault.point t.res.fault ~site;
-            B.prepare ~layers:(Snapshot.layers snap)
+            B.prepare ~layers:t.prune
               ~index:(Snapshot.index snap) ~pool:t.pool ~target
           with
           | eval, state ->
@@ -509,9 +500,6 @@ let prepare_in t snap ~target ~from_pos =
           Atomic.incr t.repreps
       | Some _ | None -> ());
       Hashtbl.replace t.seen target gen);
-  (match Snapshot.onion_layers snap with
-  | Some layers -> Atomic.set t.last_dom (Some (gen, layers))
-  | None -> ());
   e
 
 (* Cache lookup honouring a minimum chain position: a search that just

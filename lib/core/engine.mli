@@ -113,14 +113,15 @@ end
 (** An evaluation backend. [prepare] builds the per-target evaluator
     (and, when the backend has one, the underlying {!Ese} state so
     multi-target searches can reuse it instead of re-preparing).
-    [layers] is the snapshot's dominance-layer map (object id → 0-based
-    onion layer, [Some] when pruning is enabled); backends without a
-    geometric hot path ignore it. *)
+    [layers] is the engine's [prune] flag: [true] asks for evaluation
+    through the reach band ([Ese.prepare ~prune:true]), [false] for the
+    paper's Algorithm 2 slab search. Backends without a geometric hot
+    path ignore it. *)
 module type BACKEND = sig
   val name : string
 
   val prepare :
-    layers:(int -> int) option ->
+    layers:bool ->
     index:Query_index.t ->
     pool:Parallel.pool ->
     target:int ->
@@ -183,10 +184,10 @@ val create :
     nothing. Without [?resilience], [IQ_FAULT]/[IQ_RETRIES] configure
     the policy; a malformed [IQ_FAULT] is [Error (Fault_spec _)]. The
     index build consults the [index.build] fault site (transient
-    injections retry like a backend's). [prune] (default
-    [Workload.Config.prune ()], the [IQ_PRUNE] knob) enables
-    dominance-layer rival pruning on the ESE hot path — results are
-    identical either way; see {!Ese.prepare}. *)
+    injections retry like a backend's). [prune] (default [true])
+    evaluates through the reach band on the ESE hot path;
+    [~prune:false] runs the paper's Algorithm 2 slab search instead —
+    results are identical either way; see {!Ese.prepare}. *)
 
 val of_index :
   ?backend:backend ->
@@ -233,18 +234,10 @@ val generation : t -> int
 
 val backend_name : t -> string
 
-val pruning_enabled : t -> bool
-(** Whether this engine hands backends a dominance-layer map (the
-    [?prune] argument / [IQ_PRUNE] knob). Note a pruned engine still
-    evaluates unpruned when the per-instance layer certificate fails
-    (e.g. [Desc]-order workloads) — see {!Ese.prepare}. *)
-
 val dominance_stats : t -> (int * int) option
-(** [(built_generation, layer_count)] of the most recently built onion
-    layer index, [None] while nothing has been prepared yet (or
-    pruning is off). A [built_generation] behind {!generation} means
-    the live snapshot has not built its onion yet and will on the next
-    prepare — exposed so tests can observe the invalidation protocol. *)
+(** Always [None]: the engine builds no dominance-layer index (the
+    reach band needs none). Kept for callers that still report a
+    [(built_generation, layer_count)] pair. *)
 
 type backend_stats = {
   b_name : string;
@@ -260,7 +253,7 @@ type backend_stats = {
 type stats = {
   generation : int;
   backend : string;
-  prune : bool;  (** dominance-layer pruning enabled *)
+  prune : bool;  (** evaluation through the reach band ([create]'s [prune]) *)
   domains : int;  (** pool size *)
   n_objects : int;
   n_queries : int;

@@ -5,16 +5,16 @@ open Geom
    [Full] is the paper's Algorithm 2: every cached prefix object is a
    candidate rival, and the queries that can flip are found with the
    R-tree slab search, which compares scores computed as
-   [member_after] computes them. [Kth] is the pruned path: the
-   target's membership in query
-   [q] depends only on its score against the frozen threshold of the
-   rank-k rival [kth_other q] (prefixes do not move while a state is
-   alive). [prepare] bounds, per query, the smallest [‖s‖∞] that can
-   move the target across that threshold (the query's reach, see
-   [band]) and sorts the queries by it; [evaluate] re-scores only the
-   sorted prefix a strategy can reach. Both paths re-score every query
-   they visit exactly with [member_after], so [evaluate] results are
-   bit-for-bit identical. *)
+   [member_after] computes them. [Kth] is the pruned path, and the
+   default: the target's membership in query [q] depends only on its
+   score against the frozen threshold of the rank-k rival
+   [kth_other q] (prefixes do not move while a state is alive), which
+   is exact for any weight signs. [prepare] bounds, per query, the
+   smallest [‖s‖∞] that can move the target across that threshold (the
+   query's reach, see [band]) and sorts the queries by it; [evaluate]
+   re-scores only the sorted prefix a strategy can reach. Both paths
+   re-score every query they visit exactly with [member_after], so
+   [evaluate] results are bit-for-bit identical. *)
 type mode =
   | Full
   | Kth of {
@@ -38,37 +38,6 @@ type state = {
      after [prepare]. *)
   eval_count : int Atomic.t;
 }
-
-(* The dominance-layer certificate (see DESIGN.md, "Hot-path layout &
-   pruning"). Pruning to the kth-rival thresholds is exact
-   unconditionally; the certificate additionally checks the geometric
-   fact the k-regret literature prunes by — every rank-k rival sits
-   within the first [k+1] onion/dominance layers (0-based:
-   [layers kth <= k]), which needs minimizing non-negative weights
-   (Desc-order instances negate weights at construction and fail here).
-   A failed certificate means the layer reasoning does not apply to
-   this instance, so we keep the conservative Full path rather than
-   argue from geometry we cannot witness. *)
-let certificate_holds inst ~layers ~kth =
-  let queries = inst.Instance.queries in
-  let m = Array.length queries in
-  let ok = ref true in
-  (try
-     for q = 0 to m - 1 do
-       let w = queries.(q).Topk.Query.weights in
-       for j = 0 to Array.length w - 1 do
-         if w.(j) < 0. then begin
-           ok := false;
-           raise Exit
-         end
-       done;
-       if kth.(q) >= 0 && layers kth.(q) > queries.(q).Topk.Query.k then begin
-         ok := false;
-         raise Exit
-       end
-     done
-   with Exit -> ());
-  !ok
 
 let member_after t ~s ~q =
   if t.kth.(q) = -1 then true
@@ -105,6 +74,8 @@ let max_dim = 1024
      |A(s) − a0| <= W·‖s‖∞ + γ·W·(2T + ‖s‖∞),
    so while [|a0 − thr|] exceeds that bound, [A(s) − thr] keeps the
    strict sign of [a0 − thr] and the membership cannot change. The
+   bound is in [|w_j|] and [‖w‖₁] only, so it holds for any weight
+   signs (negated [Desc] weights, mixed signs, zero components). The
    reach solves the bound for [‖s‖∞], rounded down by
      (|a0 − thr| − (d+1)·min_float)·(1 − ε) / W − 2ε·(T + 1),
    and [evaluate] compares it with [σ = ‖s‖∞·(1 + ε)]. [ε] covers [γ]
@@ -155,7 +126,7 @@ let band t =
   Array.iteri (fun i q -> reach.(i) <- key.(q)) band;
   Kth { band; reach }
 
-let prepare ?layers index ~target =
+let prepare ?(prune = true) index ~target =
   let inst = Query_index.instance index in
   let m = Instance.n_queries inst in
   let members = Array.init m (fun q -> Query_index.member index ~q target) in
@@ -187,10 +158,7 @@ let prepare ?layers index ~target =
       eval_count = Atomic.make 0;
     }
   in
-  match layers with
-  | Some layers when d <= max_dim && certificate_holds inst ~layers ~kth ->
-      { t with mode = band t }
-  | Some _ | None -> t
+  if prune && d <= max_dim then { t with mode = band t } else t
 
 let base_hits t = t.base
 let member t ~q = t.members.(q)

@@ -14,22 +14,19 @@ open Geom
 
 type state
 
-val prepare : ?layers:(int -> int) -> Query_index.t -> target:int -> state
+val prepare : ?prune:bool -> Query_index.t -> target:int -> state
 (** Compute the target's base memberships from the index cache, plus
     the per-query rank-k rival and threshold (so {!member_after} and
     {!hit_constraint} run in O(d) with no index walk).
 
-    [layers] enables the pruned path: it maps an object id to its
-    0-based onion/dominance layer (see [Topk.Onion.layer_of]). When
-    provided {e and} the layer certificate holds — all query weights
-    non-negative and every rank-k rival within its query's first [k+1]
-    layers — [prepare] also computes each query's reach, a lower bound
-    on the [‖s‖∞] of any strategy that can move the target across the
-    query's k-th threshold, and sorts the queries by it (O(m·d +
-    m log m)). A failed certificate (e.g. a [Desc]-order instance,
-    whose weights are negated) or a dimension above 1024 silently
-    keeps the unpruned path. Both paths return bit-for-bit identical
-    counts. *)
+    With [prune] (the default) [prepare] also computes each query's
+    reach, a lower bound on the [‖s‖∞] of any strategy that can move
+    the target across the query's k-th threshold, and sorts the
+    queries by it (O(m·d + m log m)). The bound holds for any weight
+    signs, so every instance of dimension at most 1024 gets the
+    pruned path. [~prune:false], or a dimension above 1024, keeps the
+    paper's Algorithm 2 (the slab search over every cached rival).
+    Both paths return bit-for-bit identical counts. *)
 
 val base_hits : state -> int
 (** [H(p_i)] before any improvement. *)
@@ -75,8 +72,8 @@ val evaluations : state -> int
 (** Number of [evaluate] calls so far (benchmark instrumentation). *)
 
 val pruned : state -> bool
-(** Whether this state evaluates through the reach band (the [layers]
-    certificate held at {!prepare} time). *)
+(** Whether this state evaluates through the reach band: [prune] was
+    set at {!prepare} time and the dimension is at most 1024. *)
 
 val rival_count : state -> int
 (** The rivals that decide the target's memberships: the distinct

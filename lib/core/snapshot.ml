@@ -8,35 +8,24 @@ type entry = {
 type t = {
   generation : int;
   index : Query_index.t;
-  prune : bool;
   lock : Mutex.t;
   cache : (int, entry) Hashtbl.t;
-  onion : Topk.Onion.t Lazy.t;
-      (* the cache and the onion are lock-guarded caches of pure
-         functions of the frozen [index]; see the interface *)
+      (* a lock-guarded cache of pure functions of the frozen [index];
+         see the interface *)
 }
 
-let make ~generation ~prune index =
-  {
-    generation;
-    index;
-    prune;
-    lock = Mutex.create ();
-    cache = Hashtbl.create 16;
-    onion =
-      lazy (Topk.Onion.build (Query_index.instance index).Instance.features);
-  }
+let make ~generation index =
+  { generation; index; lock = Mutex.create (); cache = Hashtbl.create 16 }
 
-let root ?(generation = 0) ~prune index = make ~generation ~prune index
+let root ?(generation = 0) index = make ~generation index
 
-let next t index = make ~generation:(t.generation + 1) ~prune:t.prune index
+let next t index = make ~generation:(t.generation + 1) index
 
 let generation t = t.generation
 
 let index t = t.index
 
 let instance t = Query_index.instance t.index
-
 
 let size_words t = Query_index.size_words t.index
 
@@ -47,13 +36,6 @@ let locked t f =
 let find_entry t target = Hashtbl.find_opt t.cache target
 
 let set_entry t target e = Hashtbl.replace t.cache target e
-
-let layers t =
-  if t.prune then Some (Topk.Onion.layer_of (Lazy.force t.onion)) else None
-
-let onion_layers t =
-  if Lazy.is_val t.onion then Some (Topk.Onion.layer_count (Lazy.force t.onion))
-  else None
 
 let eval_total t =
   locked t (fun () ->

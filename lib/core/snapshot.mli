@@ -4,19 +4,18 @@
     A snapshot owns everything a reader needs to answer improvement
     queries against one generation of the dataset: the frozen
     {!Query_index} (whose {!Instance} and flat column slabs it shares
-    structurally with neighbouring generations), the lazily-built
-    dominance-layer onion for ESE pruning, and a per-target evaluator
-    cache. Writers never patch a published snapshot — {!Iq.Engine}
-    builds the next generation through the functional
+    structurally with neighbouring generations) and a per-target
+    evaluator cache. Writers never patch a published snapshot —
+    {!Iq.Engine} builds the next generation through the functional
     [Query_index.with_*] paths and publishes it atomically, so a reader
     holding a snapshot can keep searching it unsynchronised while any
     number of mutations land.
 
-    The onion (a lazy value) and the evaluator cache (a hash table) are
-    {e caches of pure functions of the frozen index}: building them
-    late never changes an answer, only its cost. Both are filled under
-    the snapshot's own lock, so no two domains force the onion at once; the engine is the only caller of the
-    [locked]/[find_entry]/[set_entry]/[layers] group below, which
+    The evaluator cache (a hash table) is a {e cache of pure functions
+    of the frozen index}: filling it late never changes an answer, only
+    its cost. It is filled under the snapshot's own lock, so no two
+    domains prepare the same target at once; the engine is the only
+    caller of the [locked]/[find_entry]/[set_entry] group below, which
     exists so the prepare machinery (backend chains, failover,
     accounting) can stay in [Engine] without re-exposing the cache as
     public mutable state. *)
@@ -34,7 +33,7 @@ type entry = {
 
 type t
 
-val root : ?generation:int -> prune:bool -> Query_index.t -> t
+val root : ?generation:int -> Query_index.t -> t
 (** A root snapshot over a freshly built (or adopted) index.
     [generation] defaults to 0; recovery passes the generation the
     persisted checkpoint was taken at, so a replayed engine counts on
@@ -42,8 +41,8 @@ val root : ?generation:int -> prune:bool -> Query_index.t -> t
 
 val next : t -> Query_index.t -> t
 (** The successor generation over a functionally-updated index: the
-    generation counter advances by one and the onion/evaluator caches
-    start empty (mutations move objects, so neither survives). *)
+    generation counter advances by one and the evaluator cache starts
+    empty (mutations move objects, so no evaluator survives). *)
 
 val generation : t -> int
 
@@ -71,13 +70,6 @@ val find_entry : t -> int -> entry option
 
 val set_entry : t -> int -> entry -> unit
 (** Install a target's evaluator. Call under {!locked}. *)
-
-val layers : t -> (int -> int) option
-(** The dominance-layer map for ESE pruning, [None] when pruning is
-    off. Forces the lazy onion on first use — call under {!locked}. *)
-
-val onion_layers : t -> int option
-(** [Some layer_count] once {!layers} has built the onion. *)
 
 val eval_total : t -> int
 (** Sum of the cached evaluators' evaluation counters (takes the

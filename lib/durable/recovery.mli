@@ -40,6 +40,8 @@ val replay :
   (Iq.Engine.t * report, Iq.Engine.Error.t) result
 (** Recover from a durable directory. The engine options mirror
     [Iq.Engine.create] (they configure the rebuilt engine; they are
-    not persisted state). Reattach durability afterwards with
+    not persisted state): [prune] (default [true]) evaluates through
+    the reach band, [~prune:false] through the paper's Algorithm 2,
+    with identical answers. Reattach durability afterwards with
     [Store.attach ~replayed_records:report.r_replayed] — replay itself
     leaves the directory closed. *)

@@ -53,7 +53,6 @@ let build data =
   end
 
 let kind t = t.kind
-let layer_count t = Array.length t.layers
 let layer_of t id = t.layer_of.(id)
 let layers t = t.layers
 

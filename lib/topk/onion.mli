@@ -21,8 +21,6 @@ val build : Geom.Vec.t array -> t
 
 val kind : t -> kind
 
-val layer_count : t -> int
-
 val layer_of : t -> int -> int
 
 val layers : t -> int array array

@@ -53,14 +53,6 @@ let fault () =
   | None | Some "" -> None
   | Some s -> Some s
 
-let prune () =
-  match Sys.getenv_opt "IQ_PRUNE" with
-  | None | Some "" -> true
-  | Some s -> (
-      match String.lowercase_ascii (String.trim s) with
-      | "0" | "false" | "off" | "no" -> false
-      | _ -> true)
-
 let max_sessions () =
   match Sys.getenv_opt "IQ_MAX_SESSIONS" with
   | None | Some "" -> 8

@@ -56,13 +56,6 @@ val fault : unit -> string option
     unset or empty). Parsed by [Resilience.Fault.of_spec]; the format
     is documented there. *)
 
-val prune : unit -> bool
-(** Whether engines use dominance-layer rival pruning on the ESE hot
-    path (see [Iq.Ese.prepare]'s [layers]): the [IQ_PRUNE] env var,
-    default [true]; "0", "false", "off" and "no" (any case) disable
-    it. Pruned and unpruned runs return identical results — the knob
-    exists for benchmarking and bisection. *)
-
 val max_sessions : unit -> int
 (** Admission-control ceiling for concurrently open serving sessions:
     the [IQ_MAX_SESSIONS] env var when set to a positive integer,

@@ -196,10 +196,10 @@ let test_dirty_between_covers_changes () =
      pruned one, which lists each query once. *)
   let inst = make_instance ~n:70 ~m:90 ~seed:47 () in
   let idx = Query_index.build inst in
-  let layers = Topk.Onion.layer_of (Topk.Onion.build inst.Instance.features) in
-  let full = Ese.prepare idx ~target:4 in
-  let kth = Ese.prepare ~layers idx ~target:4 in
-  Alcotest.(check bool) "layered state is pruned" true (Ese.pruned kth);
+  let full = Ese.prepare ~prune:false idx ~target:4 in
+  let kth = Ese.prepare idx ~target:4 in
+  Alcotest.(check bool) "Algorithm 2 state is unpruned" false (Ese.pruned full);
+  Alcotest.(check bool) "default state is pruned" true (Ese.pruned kth);
   let rng = Workload.Rng.make 29 in
   for _ = 1 to 12 do
     let s1 = Array.init 3 (fun _ -> (Workload.Rng.uniform rng -. 0.5) *. 0.4) in

@@ -1,58 +1,51 @@
-(* The hot-path raw-speed pass: flat SoA geometry and dominance-layer
-   rival pruning. The contract under test is exactness — the pruned
-   kth-rival path must return bit-for-bit the same counts, strategies
-   and dirty sets as the unpruned path, at every pool size and backend,
-   and the engine's lazy dominance index must invalidate correctly
-   across interleaved mutations. *)
+(* The hot path: flat SoA geometry and the reach band over the kth-rival
+   thresholds. The contract under test is exactness — the band must
+   return bit-for-bit the same counts, strategies and dirty sets as the
+   paper's Algorithm 2 slab search ([~prune:false]), on any weight
+   signs, at every pool size and backend, and across interleaved
+   mutations. *)
 
 open Iq
 
 let pool1 = Parallel.create ~domains:1 ()
 let pool4 = Parallel.create ~domains:4 ()
 
-let make_instance ?(seed = 77) ?(n = 120) ?(m = 60) ?(d = 3) ?(kmax = 6) () =
+let make_instance ?order ?(seed = 77) ?(n = 120) ?(m = 60) ?(d = 3) ?(kmax = 6)
+    () =
   let rng = Workload.Rng.make seed in
   let data = Workload.Datagen.generate rng Workload.Datagen.Independent ~n ~d in
   let queries =
     Workload.Querygen.linear rng Workload.Querygen.Uniform ~k_range:(1, kmax)
       ~m ~d ()
   in
-  Instance.create ~data ~queries ()
+  Instance.create ?order ~data ~queries ()
 
 let ok = function
   | Ok v -> v
   | Error e ->
       Alcotest.failf "unexpected engine error: %s" (Engine.Error.to_string e)
 
-let layers_of inst =
-  Topk.Onion.layer_of (Topk.Onion.build inst.Instance.features)
-
 (* --- Ese level: pruned state == full state, observably ---------------- *)
 
-(* Pruned [evaluate], full [evaluate] and [Evaluator.naive] must agree
-   exactly on every strategy, and [member_after] on every query; the
-   pruned dirty set may drop queries whose membership cannot change,
-   never add any. [strategies target] is called once per target, in
-   order. [layers] defaults to the instance's onion layers. Returns
-   whether the certificate held for some target, so each instance can
-   insist the pruned path ran. *)
-let check_pruned_equals_full ?layers inst ~targets ~strategies =
+(* Band [evaluate], Algorithm 2 [evaluate] and [Evaluator.naive] must
+   agree exactly on every strategy, and [member_after] on every query;
+   the band's dirty set must hold every query whose membership the
+   strategy changes. Every default state must be pruned: the band
+   needs no sign or layer assumption. [strategies target] is called
+   once per target, in order. *)
+let check_pruned_equals_full inst ~targets ~strategies =
   let idx = Query_index.build inst in
-  let layers = match layers with Some l -> l | None -> layers_of inst in
   let zero = Array.make (Instance.dim inst) 0. in
-  let pruned_seen = ref false in
   List.iter
     (fun target ->
-      let full = Ese.prepare idx ~target in
-      let kth = Ese.prepare ~layers idx ~target in
+      let full = Ese.prepare ~prune:false idx ~target in
+      let kth = Ese.prepare idx ~target in
       let naive = Evaluator.naive inst ~target in
       Alcotest.(check bool) "full state is unpruned" false (Ese.pruned full);
-      if Ese.pruned kth then begin
-        pruned_seen := true;
-        Alcotest.(check bool)
-          "pruned rival set is no larger" true
-          (Ese.rival_count kth <= Ese.rival_count full)
-      end;
+      Alcotest.(check bool) "default state is pruned" true (Ese.pruned kth);
+      Alcotest.(check bool)
+        "pruned rival set is no larger" true
+        (Ese.rival_count kth <= Ese.rival_count full);
       Alcotest.(check int) "base hits agree" (Ese.base_hits full)
         (Ese.base_hits kth);
       Alcotest.(check int) "base hits match naive" naive.Evaluator.base_hits
@@ -85,10 +78,16 @@ let check_pruned_equals_full ?layers inst ~targets ~strategies =
             (fun q ->
               if not (List.mem q full_dirty) then
                 Alcotest.failf "pruned dirty set invented query %d" q)
-            (Ese.dirty_queries kth ~s))
+            (Ese.dirty_queries kth ~s);
+          let band_dirty = Ese.dirty_between kth ~s_from:zero ~s_to:s in
+          for q = 0 to Instance.n_queries inst - 1 do
+            if
+              Ese.member_after kth ~s ~q <> Ese.member kth ~q
+              && not (List.mem q band_dirty)
+            then Alcotest.failf "band dirty set misses %s q=%d" label q
+          done)
         (strategies target))
-    targets;
-  !pruned_seen
+    targets
 
 let test_ese_pruned_equals_full () =
   let inst = make_instance ~seed:31 ~n:140 ~m:90 () in
@@ -99,9 +98,7 @@ let test_ese_pruned_equals_full () =
     List.init 12 (fun _ ->
         Array.init d (fun _ -> (Workload.Rng.uniform rng -. 0.5) *. 0.6))
   in
-  Alcotest.(check bool)
-    "certificate held for at least one target" true
-    (check_pruned_equals_full inst ~targets:(List.init 8 Fun.id) ~strategies)
+  check_pruned_equals_full inst ~targets:(List.init 8 Fun.id) ~strategies
 
 (* Exactness on degenerate inputs: duplicated objects put
    exact ties at rank k (the target against its own copy, both ways
@@ -144,9 +141,7 @@ let test_ese_pruned_degenerate () =
       [| -0.15; -0.15; -0.15 |];
     ]
   in
-  Alcotest.(check bool)
-    "certificate held for at least one target" true
-    (check_pruned_equals_full inst ~targets ~strategies)
+  check_pruned_equals_full inst ~targets ~strategies
 
 (* The evaluation hot path allocates per call, not per query it
    re-scores: a pruned [evaluate] only its boxed reach bound,
@@ -159,7 +154,7 @@ let test_ese_allocation () =
       (fun m ->
         let inst = make_instance ~seed:12 ~n:300 ~m ~kmax:12 () in
         let idx = Query_index.build inst in
-        let st = Ese.prepare ~layers:(layers_of inst) idx ~target:3 in
+        let st = Ese.prepare idx ~target:3 in
         Alcotest.(check bool) "state is pruned" true (Ese.pruned st);
         let s = [| -0.2; -0.15; -0.25 |] in
         (* On a pruned state, the band prefix [evaluate] re-scores. *)
@@ -197,10 +192,8 @@ let test_ese_allocation () =
    the k-th threshold or miss it by an ulp; query 0 has all-zero
    weights. Steps include, per query, the L∞-smallest step that
    reaches its threshold scaled by [1 ± 1e-9] (and unscaled),
-   subnormal steps and [±infinity]/[nan] coordinates. A layer map that
-   puts every object in layer 0 makes the certificate hold, so the
-   pruned path runs on every target. (The index built here is only
-   read for the kth rivals the steps aim at.) *)
+   subnormal steps and [±infinity]/[nan] coordinates. (The index built
+   here is only read for the kth rivals the steps aim at.) *)
 let prop_ese_band_exact =
   let gen =
     QCheck.Gen.(
@@ -275,30 +268,69 @@ let prop_ese_band_exact =
           (List.init (Instance.n_queries inst) Fun.id)
       in
       let targets = best.(0) :: List.init 9 (fun i -> n + i) in
-      check_pruned_equals_full ~layers:(fun _ -> 0) inst ~targets
-        ~strategies:(fun target -> fixed @ reaching target))
+      check_pruned_equals_full inst ~targets
+        ~strategies:(fun target -> fixed @ reaching target);
+      true)
 
-let test_ese_desc_falls_back () =
-  (* Desc-order instances negate weights at construction, so the
-     non-negativity certificate must fail — silently unpruned. *)
-  let rng = Workload.Rng.make 9 in
-  let data =
-    Workload.Datagen.generate rng Workload.Datagen.Independent ~n:60 ~d:3
+(* The band on any weight signs: [Desc]-order instances (whose weights
+   are negated at construction), hand-built mixed-sign weight vectors
+   with and without zero components, an all-zero one, and ties at rank
+   k (every object in the first half has an exact copy, so a rank-k
+   rival ties its copy and a target ties its own). The reach bound is
+   in [|w|] and [‖w‖₁] only, so every state must evaluate through the
+   band and still answer like Algorithm 2 and the naive scan. *)
+let prop_ese_any_sign =
+  let gen =
+    QCheck.Gen.(
+      let* seed = int_range 1 10_000 in
+      let* d = oneofl [ 1; 2; 3; 5 ] in
+      let* desc = bool in
+      return (seed, d, desc))
   in
-  let queries =
-    Workload.Querygen.linear rng Workload.Querygen.Uniform ~k_range:(1, 4)
-      ~m:30 ~d:3 ()
+  let arb =
+    QCheck.make
+      ~print:(fun (seed, d, desc) ->
+        Printf.sprintf "seed=%d d=%d desc=%b" seed d desc)
+      gen
   in
-  let inst =
-    Instance.create ~order:Topk.Utility.Desc ~data ~queries ()
-  in
-  let idx = Query_index.build inst in
-  let st = Ese.prepare ~layers:(layers_of inst) idx ~target:0 in
-  Alcotest.(check bool) "Desc instance is never pruned" false (Ese.pruned st);
-  (* ... and still answers exactly. *)
-  let naive = Evaluator.naive inst ~target:0 in
-  Alcotest.(check int) "base hits match naive" naive.Evaluator.base_hits
-    (Ese.base_hits st)
+  QCheck.Test.make ~name:"ESE band exact on any signs" ~count:8 arb
+    (fun (seed, d, desc) ->
+      let rng = Workload.Rng.make seed in
+      let n = 36 in
+      let base =
+        Workload.Datagen.generate rng Workload.Datagen.Independent ~n ~d
+      in
+      let data =
+        Array.append base (Array.init (n / 2) (fun i -> Array.copy base.(i)))
+      in
+      let signed () = (2. *. Workload.Rng.uniform rng) -. 1. in
+      let queries =
+        Workload.Querygen.linear rng Workload.Querygen.Uniform ~k_range:(1, 5)
+          ~m:32 ~d ()
+        |> List.mapi (fun i (q : Topk.Query.t) ->
+               let make w =
+                 Topk.Query.make ~id:q.Topk.Query.id ~k:q.Topk.Query.k w
+               in
+               let zero_at j = if j = i mod d then 0. else signed () in
+               match i mod 4 with
+               | _ when i = 0 -> make (Array.make d 0.)
+               | 1 -> make (Array.init d (fun _ -> signed ()))
+               | 2 -> make (Array.init d zero_at)
+               | 3 -> make (Array.map (fun w -> -.w) q.Topk.Query.weights)
+               | _ -> q)
+      in
+      let order = if desc then Topk.Utility.Desc else Topk.Utility.Asc in
+      let inst = Instance.create ~order ~data ~queries () in
+      let targets = [ 0; 1; 2; n; n + 1; n + 2; n - 1; (n / 2) + 3 ] in
+      let strategies _target =
+        Array.make d 0.
+        :: List.concat_map
+             (fun scale ->
+               List.init 4 (fun _ -> Array.init d (fun _ -> scale *. signed ())))
+             [ 0.02; 0.2; 1. ]
+      in
+      check_pruned_equals_full inst ~targets ~strategies;
+      true)
 
 (* --- Engine level: prune on/off outcomes are byte-identical ---------- *)
 
@@ -317,18 +349,20 @@ let prop_engine_prune_oracle =
       let* n = int_range 20 60 in
       let* m = int_range 10 40 in
       let* d = int_range 2 5 in
-      return (seed, n, m, d))
+      let* desc = bool in
+      return (seed, n, m, d, desc))
   in
   let arb =
     QCheck.make
-      ~print:(fun (seed, n, m, d) ->
-        Printf.sprintf "seed=%d n=%d m=%d d=%d" seed n m d)
+      ~print:(fun (seed, n, m, d, desc) ->
+        Printf.sprintf "seed=%d n=%d m=%d d=%d desc=%b" seed n m d desc)
       gen
   in
   QCheck.Test.make
     ~name:"engine outcomes identical with pruning on/off (backends x pools)"
-    ~count:10 arb (fun (seed, n, m, d) ->
-      let inst = make_instance ~seed ~n ~m ~d ~kmax:4 () in
+    ~count:10 arb (fun (seed, n, m, d, desc) ->
+      let order = if desc then Topk.Utility.Desc else Topk.Utility.Asc in
+      let inst = make_instance ~order ~seed ~n ~m ~d ~kmax:4 () in
       let cost = Cost.euclidean d in
       let ok' = function
         | Ok v -> v
@@ -392,72 +426,71 @@ let test_dirty_queries_prune_invariant () =
         total := !total + List.length pruned
       done)
     [ 0; 7; 42 ];
-  Alcotest.(check bool)
-    "the pruned engine built its layer index" true
-    (Engine.dominance_stats on <> None);
   Alcotest.(check bool) "some query is affected" true (!total > 0)
 
-(* --- lazy dominance index: generation-tracked invalidation ----------- *)
+(* --- mutations: the band stays exact and no layer index is built ----- *)
 
-let test_dominance_invalidation () =
+let no_layer_index msg e =
+  Alcotest.(check (option (pair int int))) msg None (Engine.dominance_stats e)
+
+let test_band_across_mutations () =
   let inst = make_instance ~seed:77 () in
   let e = ok (Engine.create ~prune:true ~pool:pool1 inst) in
-  Alcotest.(check (option (pair int int)))
-    "nothing built before first prepare" None (Engine.dominance_stats e);
   let _ = ok (Engine.hits e ~target:2) in
-  (match Engine.dominance_stats e with
-  | Some (0, layers) ->
-      Alcotest.(check bool) "onion has layers" true (layers > 0)
-  | other ->
-      Alcotest.failf "expected generation-0 index, got %s"
-        (match other with
-        | None -> "None"
-        | Some (g, l) -> Printf.sprintf "Some (%d, %d)" g l));
-  (* A mutation leaves the cached index stale (behind the generation)
-     until the next prepare rebuilds it. *)
+  no_layer_index "after a prepare" e;
   let target = 2 in
   let moved =
     Array.map (fun v -> Float.max 0. (v -. 0.3)) inst.Instance.raw.(target)
   in
   ok (Engine.update_object e target moved);
   Alcotest.(check int) "mutation bumped generation" 1 (Engine.generation e);
-  (match Engine.dominance_stats e with
-  | Some (0, _) -> ()
-  | _ -> Alcotest.fail "stale index should persist until next prepare");
+  no_layer_index "after update_object" e;
   let h1 = ok (Engine.hits e ~target) in
-  (match Engine.dominance_stats e with
-  | Some (1, _) -> ()
-  | _ -> Alcotest.fail "prepare after mutation must rebuild the index");
-  (* The rebuilt pruned engine answers exactly like a fresh build and
-     like an unpruned engine over the same mutated instance. *)
+  (* The re-prepared engine answers exactly like a fresh build and
+     like an Algorithm 2 engine over the same mutated instance. *)
   let fresh = ok (Engine.create ~prune:true ~pool:pool1 (Engine.instance e)) in
   let off = ok (Engine.create ~prune:false ~pool:pool1 (Engine.instance e)) in
   Alcotest.(check int) "pruned = fresh build" (ok (Engine.hits fresh ~target)) h1;
   Alcotest.(check int) "pruned = unpruned" (ok (Engine.hits off ~target)) h1;
-  (* remove_object invalidates too. *)
   ok (Engine.remove_object e (Instance.n_objects (Engine.instance e) - 1));
-  (match Engine.dominance_stats e with
-  | Some (1, _) -> ()
-  | _ -> Alcotest.fail "remove_object must not eagerly rebuild");
+  no_layer_index "after remove_object" e;
   let h2 = ok (Engine.hits e ~target) in
-  (match Engine.dominance_stats e with
-  | Some (2, _) -> ()
-  | _ -> Alcotest.fail "index must catch up to generation 2");
   let off2 =
     ok (Engine.create ~prune:false ~pool:pool1 (Engine.instance e))
   in
   Alcotest.(check int) "post-removal pruned = unpruned"
     (ok (Engine.hits off2 ~target)) h2;
-  Alcotest.(check bool) "pruning flag reported" true (Engine.pruning_enabled e);
+  let cost = Cost.euclidean (Instance.dim (Engine.instance e)) in
+  let costs = [ (target, cost); (9, cost) ] in
+  Alcotest.(check bool) "multi-target pruned = unpruned" true
+    (ok (Engine.max_hit_multi e ~costs ~beta:0.4)
+    = ok (Engine.max_hit_multi off2 ~costs ~beta:0.4));
+  no_layer_index "after a multi-target search" e;
   Alcotest.(check bool) "stats carry the flag" true (Engine.stats e).Engine.prune
 
-let test_prune_off_builds_nothing () =
+(* [prune] reaches the backend as its [layers] flag: the default engine
+   prepares band states, [~prune:false] the paper's Algorithm 2. *)
+let test_prune_flag_picks_path () =
   let inst = make_instance ~seed:5 ~n:60 ~m:30 () in
-  let e = ok (Engine.create ~prune:false ~pool:pool1 inst) in
-  let _ = ok (Engine.hits e ~target:0) in
-  Alcotest.(check (option (pair int int)))
-    "no dominance index when pruning is off" None (Engine.dominance_stats e);
-  Alcotest.(check bool) "flag off" false (Engine.pruning_enabled e)
+  let seen = ref [] in
+  let module Recording : Engine.BACKEND = struct
+    let name = Engine.Ese_backend.name
+
+    let prepare ~layers ~index ~pool ~target =
+      let ev, st = Engine.Ese_backend.prepare ~layers ~index ~pool ~target in
+      Option.iter (fun st -> seen := (layers, Ese.pruned st) :: !seen) st;
+      (ev, st)
+  end in
+  let backend = (module Recording : Engine.BACKEND) in
+  let on = ok (Engine.create ~backend ~pool:pool1 inst) in
+  let off = ok (Engine.create ~backend ~prune:false ~pool:pool1 inst) in
+  let h_on = ok (Engine.hits on ~target:0) in
+  Alcotest.(check (list (pair bool bool))) "default: band" [ (true, true) ] !seen;
+  seen := [];
+  Alcotest.(check int) "same answer" h_on (ok (Engine.hits off ~target:0));
+  Alcotest.(check (list (pair bool bool)))
+    "prune off: Algorithm 2" [ (false, false) ] !seen;
+  Alcotest.(check bool) "stats flag off" false (Engine.stats off).Engine.prune
 
 (* --- the flat SoA views stay in sync through every mutation ---------- *)
 
@@ -500,13 +533,12 @@ let suite =
   [
     Alcotest.test_case "ESE pruned state == full state" `Quick
       test_ese_pruned_equals_full;
-    Alcotest.test_case "Desc order falls back to unpruned" `Quick
-      test_ese_desc_falls_back;
+    QCheck_alcotest.to_alcotest prop_ese_any_sign;
     QCheck_alcotest.to_alcotest prop_engine_prune_oracle;
-    Alcotest.test_case "dominance index invalidates across mutations" `Quick
-      test_dominance_invalidation;
-    Alcotest.test_case "pruning off builds no index" `Quick
-      test_prune_off_builds_nothing;
+    Alcotest.test_case "band exact across mutations" `Quick
+      test_band_across_mutations;
+    Alcotest.test_case "prune flag picks ESE path" `Quick
+      test_prune_flag_picks_path;
     Alcotest.test_case "flat SoA views track all mutations" `Quick
       test_flat_views_sync;
     Alcotest.test_case "ESE pruned == full == naive on ties and zeros" `Quick

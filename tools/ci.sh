@@ -44,7 +44,7 @@ awk -v budget="$LINT_BUDGET_MS" '
     }
   }' _build/iqlint-timings.txt
 
-echo "== chaos: resilience + engine suites under a fixed IQ_FAULT =="
+echo "== chaos: resilience, engine and hotpath suites under a fixed IQ_FAULT =="
 # A latency-only schedule: every engine built from the environment
 # consults the fault sites and injects (so the schedule, counters and
 # injection paths all run), but no outcome changes — the suites'
@@ -55,6 +55,10 @@ echo "== chaos: resilience + engine suites under a fixed IQ_FAULT =="
 CHAOS_FAULT='seed=42;backend.ese.prepare:latency(1)@0.4;backend.rta.prepare:latency(1)@0.4;backend.scan.prepare:latency(1)@0.4;index.build:latency(1)@0.5;search.iteration:latency(1)@0.1'
 IQ_FAULT="$CHAOS_FAULT" ./_build/default/test/test_main.exe test resilience
 IQ_FAULT="$CHAOS_FAULT" ./_build/default/test/test_main.exe test core.engine
+# The band-vs-Algorithm-2 engine oracle, with latency at every backend
+# prepare site: the prune flag reaches the backend through the same
+# failover path the chaos schedule exercises.
+IQ_FAULT="$CHAOS_FAULT" ./_build/default/test/test_main.exe test core.hotpath
 
 echo "== torture: MVCC serving under mixed read/write + chaos =="
 # The serve suite's QCheck oracle interleaves a writer with pinned
